@@ -163,7 +163,9 @@ proptest! {
             }
         });
         let mut by_admission = results.into_inner().unwrap();
-        by_admission.sort_by_key(|&(start_row, _, _, _)| start_row);
+        // An empty chunk admitted just before a non-empty one shares its
+        // start row; it must sort first, whichever thread pushed first.
+        by_admission.sort_by_key(|&(start_row, _, len, _)| (start_row, len));
         // Admitted spans tile the stream: start rows are the running sum
         // of admitted lengths, and the lifetime counter reconciles.
         let mut expect_row = 0u64;
@@ -211,7 +213,7 @@ fn edge_chunk_sizes_commit_identically_under_concurrency() {
             }
         });
         let mut by_admission = results.into_inner().unwrap();
-        by_admission.sort_by_key(|&(start_row, _, _, _)| start_row);
+        by_admission.sort_by_key(|&(start_row, _, len, _)| (start_row, len));
         assert_eq!(entry.status().rows_ingested, total as u64, "({window},{stride})");
         let admitted: Vec<(usize, usize)> =
             by_admission.iter().map(|&(_, start, len, _)| (start, len)).collect();

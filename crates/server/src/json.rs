@@ -182,6 +182,20 @@ mod tests {
     }
 
     #[test]
+    fn surrogate_pair_escaped_label_is_the_raw_label() {
+        // Python's `json.dumps` escapes text beyond the BMP as a UTF-16
+        // surrogate pair by default; the label must decode to the same
+        // dictionary entry as the raw UTF-8 one, not to two U+FFFD.
+        let escaped = r#"{"x": [1, 2], "label": ["\ud83d\ude00", "a"]}"#;
+        let raw = "{\"x\": [1, 2], \"label\": [\"\u{1f600}\", \"a\"]}";
+        let from_escaped = frame_from_columns(&serde_json::from_str(escaped).unwrap()).unwrap();
+        let from_raw = frame_from_columns(&serde_json::from_str(raw).unwrap()).unwrap();
+        assert_eq!(from_escaped.categorical("label"), from_raw.categorical("label"));
+        assert_eq!(from_escaped.numeric("x"), from_raw.numeric("x"));
+        assert_eq!(from_raw.categorical("label").unwrap().1[0], "\u{1f600}");
+    }
+
+    #[test]
     fn mixed_and_malformed_columns_rejected() {
         for bad in [
             r#"{"x": [1, "a"]}"#,

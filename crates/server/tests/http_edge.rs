@@ -196,3 +196,37 @@ fn live_server_survives_abuse_on(io: cc_server::IoMode) {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A body of 100 000 nested `[` is about 100 KB, far under the body
+/// limit. The JSON parser recurses once per nesting level, so without
+/// its depth cap this body would overflow a worker's stack and abort the
+/// daemon. It must be a 400 with the JSON error envelope, and the daemon
+/// must keep serving.
+#[test]
+fn deeply_nested_json_body_is_a_400_not_a_crash() {
+    for io in common::io_modes() {
+        let dir = common::temp_dir(&format!("deep_json_{io:?}"));
+        common::write_profile(&dir, "p", &common::regime_profile(300, 0.0));
+        let handle = common::start_server_io(&dir, 2, io);
+        let mut client = HttpClient::connect(handle.addr()).unwrap();
+
+        let body = "[".repeat(100_000);
+        let resp = client.request("POST", "/v2/check?profile=p", body.as_bytes()).unwrap();
+        assert_eq!(resp.status, 400, "{io:?}: {}", resp.text());
+        let envelope = resp.json().unwrap();
+        let error = envelope.field("error").unwrap();
+        assert_eq!(error.field("code").unwrap(), &serde_json::Value::String("bad_request".into()));
+        let serde_json::Value::String(message) = error.field("message").unwrap() else {
+            panic!("{io:?}: error message is not a string: {}", resp.text());
+        };
+        assert!(message.contains("recursion limit exceeded"), "{io:?}: {message}");
+
+        // The same connection, and a fresh one, are still answered.
+        assert_eq!(client.get("/healthz").unwrap().status, 200, "{io:?}");
+        let mut fresh = HttpClient::connect(handle.addr()).unwrap();
+        assert_eq!(fresh.get("/healthz").unwrap().status, 200, "{io:?}");
+
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

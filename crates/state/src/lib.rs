@@ -24,10 +24,13 @@
 //! * `magic`/`version` gate format evolution: an unknown version is
 //!   *corrupt*, never misread.
 //! * `checksum` is FNV-1a 64 (hex) over the payload's **compact** JSON
-//!   rendering. The workspace JSON shim renders deterministically
-//!   (insertion-ordered objects, shortest-round-trip `f64`s), so
-//!   re-rendering the parsed payload reproduces the hashed bytes
-//!   exactly; any torn write or bit flip in the payload fails the check.
+//!   rendering. [`encode_envelope`] renders the payload exactly once and
+//!   splices those bytes into the envelope, so the checksum covers the
+//!   very bytes that land in the file. The workspace JSON shim renders
+//!   deterministically (insertion-ordered objects, shortest-round-trip
+//!   `f64`s), so re-rendering the parsed payload reproduces the hashed
+//!   bytes exactly; any torn write or bit flip in the payload fails the
+//!   check.
 //! * `payload` is whatever the caller persists — for the daemon, a
 //!   [`ServerState`]; for the CLI's `monitor --resume`, a single
 //!   [`cc_monitor::MonitorState`].
@@ -121,20 +124,15 @@ static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// # Errors
 /// [`StateError::Corrupt`] when the payload does not serialize.
 pub fn encode_envelope<T: Serialize>(payload: &T) -> Result<String, StateError> {
-    let payload_value = payload.to_value();
-    let payload_json = serde_json::to_string(&payload_value)
+    let payload_json = serde_json::to_string(payload)
         .map_err(|e| StateError::Corrupt(format!("payload does not serialize: {e}")))?;
-    let envelope = Value::Object(vec![
-        ("magic".to_owned(), Value::String(MAGIC.to_owned())),
-        ("version".to_owned(), Value::Number(FORMAT_VERSION as f64)),
-        (
-            "checksum".to_owned(),
-            Value::String(format!("{:016x}", checksum(payload_json.as_bytes()))),
-        ),
-        ("payload".to_owned(), payload_value),
-    ]);
-    serde_json::to_string(&envelope)
-        .map_err(|e| StateError::Corrupt(format!("envelope does not serialize: {e}")))
+    // The envelope's fixed fields render to fixed bytes (the magic and
+    // the hex digest need no escaping), so the payload is rendered once
+    // and spliced in: the same bytes as rendering the envelope tree.
+    let digest = checksum(payload_json.as_bytes());
+    Ok(format!(
+        r#"{{"magic":"{MAGIC}","version":{FORMAT_VERSION},"checksum":"{digest:016x}","payload":{payload_json}}}"#
+    ))
 }
 
 /// Verifies an in-memory envelope (magic, version, checksum) and

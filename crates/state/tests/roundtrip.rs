@@ -192,3 +192,70 @@ fn inconsistent_state_is_rejected_not_panicked() {
     bad.history = vec![0.1, 0.2];
     assert!(OnlineMonitor::from_state(bad).is_err());
 }
+
+/// The reference for `encode_envelope`: the envelope as one value tree,
+/// rendered whole.
+fn envelope_tree_json<T: serde::Serialize>(payload: &T) -> String {
+    use serde_json::Value;
+    let payload_value = payload.to_value();
+    let payload_json = serde_json::to_string(&payload_value).unwrap();
+    let envelope = Value::Object(vec![
+        ("magic".to_owned(), Value::String(cc_state::MAGIC.to_owned())),
+        ("version".to_owned(), Value::Number(cc_state::FORMAT_VERSION as f64)),
+        (
+            "checksum".to_owned(),
+            Value::String(format!("{:016x}", cc_state::checksum(payload_json.as_bytes()))),
+        ),
+        ("payload".to_owned(), payload_value),
+    ]);
+    serde_json::to_string(&envelope).unwrap()
+}
+
+/// `encode_envelope` splices the payload's one rendering into the fixed
+/// fields; the bytes equal rendering the envelope tree, and
+/// `decode_envelope` accepts them.
+#[test]
+fn spliced_envelope_is_byte_identical_to_the_envelope_tree() {
+    let profile = trained_profile();
+    let cfg = MonitorConfig {
+        spec: WindowSpec::tumbling(50).unwrap(),
+        calibration_windows: 2,
+        patience: 1,
+        min_resynth_rows: 8,
+        ..MonitorConfig::default()
+    };
+    let mut monitor = OnlineMonitor::new(profile, cfg).unwrap();
+    let (xs, ys) = stream(400, 150, 6.0);
+    monitor.ingest(&frame(&xs, &ys)).unwrap();
+    let state = cc_state::ServerState {
+        registry_generation: 3,
+        rows_checked: 12_345,
+        monitors: vec![cc_state::MonitorEntry {
+            name: "m \"π\"\n".to_owned(),
+            state: monitor.state(),
+        }],
+    };
+
+    let text = cc_state::encode_envelope(&state).unwrap();
+    assert_eq!(text, envelope_tree_json(&state));
+    let back: cc_state::ServerState = cc_state::decode_envelope(&text).unwrap();
+    assert_eq!(serde_json::to_string(&back).unwrap(), serde_json::to_string(&state).unwrap());
+
+    let empty = cc_state::ServerState { registry_generation: 0, rows_checked: 0, monitors: vec![] };
+    let text = cc_state::encode_envelope(&empty).unwrap();
+    assert_eq!(text, envelope_tree_json(&empty));
+    assert!(cc_state::decode_envelope::<cc_state::ServerState>(&text).is_ok());
+
+    // Payloads whose rendering needs escapes, `-0` and empty containers.
+    use serde_json::Value;
+    let tree = Value::Object(vec![
+        ("label \"π\"\n\u{1}".into(), Value::Array(vec![Value::Number(-0.0), Value::Null])),
+        ("nested".into(), Value::Object(vec![("xs".into(), Value::Array(Vec::new()))])),
+    ]);
+    for payload in [tree, Value::Number(-0.0), Value::String(String::new())] {
+        let text = cc_state::encode_envelope(&payload).unwrap();
+        assert_eq!(text, envelope_tree_json(&payload));
+        let back: Value = cc_state::decode_envelope(&text).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), serde_json::to_string(&payload).unwrap());
+    }
+}
