@@ -12,7 +12,8 @@
 //! run is checked **bit-identical** to the interpreted vector
 //! (`max_abs_delta == 0` is asserted, not just reported) and the
 //! measurements land in `BENCH_eval.json`, the serving-side companion of
-//! `BENCH_synth.json`.
+//! `BENCH_synth.json`, with the host they were taken on (CPU count and
+//! model, kernel release) and the command line that produced them.
 
 use cc_bench::{macro_frame, median};
 use conformance::{synthesize, CompiledProfile, SynthOptions};
@@ -27,8 +28,32 @@ fn max_abs_delta(reference: &[f64], got: &[f64]) -> f64 {
     reference.iter().zip(got).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max)
 }
 
+/// The host facts a timing is meaningless without: available CPUs, CPU
+/// model, kernel release (Linux `/proc`; `"unknown"` elsewhere).
+fn host() -> Value {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines().find_map(|l| {
+                l.strip_prefix("model name")
+                    .map(|v| v.trim_start_matches([' ', '\t', ':']).to_owned())
+            })
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease")
+        .map(|s| s.trim().to_owned())
+        .unwrap_or_else(|_| "unknown".into());
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    Value::Object(vec![
+        ("nproc".into(), Value::Number(nproc as f64)),
+        ("cpu".into(), Value::String(cpu)),
+        ("kernel".into(), Value::String(kernel)),
+    ])
+}
+
 fn main() {
-    let mut args = std::env::args().skip(1);
+    let argv: Vec<String> = std::env::args().collect();
+    let mut args = argv.iter().skip(1);
     let rows: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(1_000_000);
     let thread_counts: Vec<usize> = {
         let explicit: Vec<usize> = args.filter_map(|s| s.parse().ok()).collect();
@@ -110,6 +135,8 @@ fn main() {
 
     let report = Value::Object(vec![
         ("benchmark".into(), Value::String("eval_interpreted_vs_compiled".into())),
+        ("host".into(), host()),
+        ("argv".into(), Value::Array(argv.iter().cloned().map(Value::String).collect())),
         ("rows".into(), Value::Number(rows as f64)),
         ("numeric_attributes".into(), Value::Number(profile.numeric_attributes.len() as f64)),
         ("partition_values".into(), Value::Number(4.0)),

@@ -9,45 +9,61 @@
 //! cases per row. [`CompiledProfile`] removes all of that by lowering a
 //! [`ConformanceProfile`] once into a flat, cache-friendly plan:
 //!
-//! * a dense row-major `k × m` coefficient matrix over **all** bounded
-//!   constraints (global conjuncts first, then every disjunctive case's
-//!   conjuncts, in profile order), with parallel `lb / ub / alpha / weight`
-//!   arrays — arity is validated here, once, not per tuple;
-//! * group tables mapping plan rows back to the profile's top-level
-//!   conjunction (the global simple constraint and each disjunctive
-//!   constraint's cases);
+//! * one **coefficient panel per constraint group** — the global simple
+//!   constraint, then every disjunctive case, in profile order. A panel is
+//!   attribute-major: for each attribute, the coefficients of all the
+//!   group's conjuncts side by side, followed by their `lb / ub / α / γ`
+//!   arrays. Arity is validated here, once, not per tuple;
+//! * one plan-wide **lane count**, a multiple of 4, that every panel is
+//!   padded to. Padded lanes carry `lb = −∞`, `ub = +∞`, `γ = 0`: their
+//!   bound excess is always exactly zero, so they never fire;
 //! * per frame, a **dictionary-code → case-index table** per switching
 //!   attribute, so partition dispatch is an array load, never a string
 //!   comparison.
 //!
-//! Evaluation walks the frame in fixed row blocks of [`EVAL_BLOCK_ROWS`]:
-//! each block is gathered into an SoA scratch buffer
-//! ([`cc_frame::NumericView::gather_chunk`]), pushed through the blocked
-//! matrix–vector kernel ([`cc_linalg::block_matvec`]), and finished with a
-//! fused bound-excess → η → γ-weight epilogue. Steady state allocates
-//! nothing per block.
+//! Evaluation gathers fixed blocks of [`EVAL_BLOCK_ROWS`] rows row-major
+//! and walks each block a pair of rows at a time. Each row evaluates the
+//! global group and, per disjunctive, only the case its code selects (an
+//! unseen code adds exactly 1). A group's lanes accumulate their
+//! projections side by side in SIMD registers and pass a branch-free
+//! bound-excess test; `η` runs only for the lanes that fire. The kernel
+//! is monomorphised on the plan's tile width and dispatched once per
+//! block — through an AVX `#[target_feature]` wrapper when the CPU has
+//! AVX — so no per-row branch depends on a group's width. Steady state
+//! allocates nothing per block.
 //!
 //! **Hard invariant:** every output is **bit-identical** to the
 //! interpreted reference path
-//! ([`ConformanceProfile::violations_interpreted`]). The kernel preserves
-//! the scalar left-to-right accumulation order, the epilogue evaluates the
-//! exact same expressions, and group sums fold in the same order — the
-//! only arithmetic shortcut (skipping `η` when the bound excess is exactly
-//! zero) is bit-exact because `η(α·0) = 0`. `tests/eval_equivalence.rs`
-//! enforces this property over random profiles, partitions, thread
-//! counts, and block-boundary row counts.
+//! ([`ConformanceProfile::violations_interpreted`]). Each lane folds its
+//! `w·x` terms from `+0.0` in ascending attribute order (SIMD packs
+//! independent lanes, never reassociates one; `fma` is never enabled, as
+//! it would skip a rounding); `η` terms fold in ascending constraint
+//! order; and group sums fold global first, in profile order, before the
+//! division by the part count. The one arithmetic shortcut — skipping `η`
+//! when the bound excess is exactly zero — is bit-exact because
+//! `η(α·0) = 0`. `tests/eval_equivalence.rs` enforces this property over
+//! random profiles (across lane and tile boundaries), partitions, special
+//! values, thread counts, and block-boundary row counts.
 
 use crate::constraint::{ConformanceProfile, ProfileError, SimpleConstraint};
 use crate::eta;
-use cc_frame::{DataFrame, NumericView};
-use cc_linalg::block_matvec;
+use cc_frame::DataFrame;
 use std::cell::Cell;
 use std::ops::Range;
 
-/// Rows per evaluation block. Sized so the SoA gather scratch plus the
-/// per-constraint value matrix of a typical profile (tens of constraints ×
-/// 8 f64) stay L2-resident.
+/// Rows per evaluation block: the unit of gathering, of the per-block
+/// kernel dispatch, and of the thread split. The row-major gather of a
+/// typical profile's block (tens of attributes × 512 rows) stays
+/// L2-resident.
 pub const EVAL_BLOCK_ROWS: usize = 512;
+
+/// Widest tile the kernel is monomorphised on. A plan whose widest group
+/// needs more lanes splits every panel into tiles of this width.
+const MAX_TILE: usize = 16;
+
+/// Per-lane arrays stored after each tile's coefficients: `lb`, `ub`,
+/// `α`, `γ`.
+const LANE_ARRAYS: usize = 4;
 
 thread_local! {
     static COMPILES: Cell<usize> = const { Cell::new(0) };
@@ -64,23 +80,23 @@ pub fn thread_compile_count() -> usize {
 }
 
 /// One disjunctive constraint, lowered: case labels (for binding) and the
-/// plan-row range of each case's conjuncts.
+/// group index of its first case.
 #[derive(Clone, Debug)]
 struct CompiledDisjunctive {
     /// The switching attribute.
     attribute: String,
     /// Case labels, in profile order.
     labels: Vec<String>,
-    /// Plan-row range per case, aligned with `labels`.
-    cases: Vec<Range<usize>>,
+    /// Case `ci` is plan group `first + ci`.
+    first: usize,
 }
 
 /// A [`ConformanceProfile`] lowered into a flat serving plan.
 ///
-/// Compile once (cheap: `O(k·m)` for `k` bounded constraints over `m`
-/// attributes), evaluate many times against any frame carrying the
-/// profile's attributes. All evaluation surfaces are bit-identical to the
-/// interpreted reference path.
+/// Compile once (cheap: `O(groups·m·lanes)` for `m` attributes), evaluate
+/// many times against any frame carrying the profile's attributes. All
+/// evaluation surfaces are bit-identical to the interpreted reference
+/// path.
 #[derive(Clone, Debug)]
 pub struct CompiledProfile {
     /// Numeric attribute names, fixing column resolution order.
@@ -89,19 +105,20 @@ pub struct CompiledProfile {
     m: usize,
     /// Total bounded constraints (`k`).
     k: usize,
-    /// Row-major `k × m` projection coefficients.
-    coeffs: Vec<f64>,
-    /// Lower bound per constraint.
-    lb: Vec<f64>,
-    /// Upper bound per constraint.
-    ub: Vec<f64>,
-    /// Scaling factor α per constraint.
-    alpha: Vec<f64>,
-    /// Normalized importance factor γ per constraint (within its simple
-    /// constraint).
-    weight: Vec<f64>,
-    /// Plan-row range of the global simple constraint, if any.
-    global: Option<Range<usize>>,
+    /// Lanes per tile (4, 8, 12 or 16): the width the kernel is
+    /// monomorphised on.
+    tile: usize,
+    /// Tiles per group. The plan-wide lane count is `tiles · tile`.
+    tiles: usize,
+    /// Every group's panel, group after group, tile after tile: `m × tile`
+    /// coefficients (attribute-major), then `tile` entries each of `lb`,
+    /// `ub`, `α`, `γ`.
+    panels: Vec<f64>,
+    /// Plan-row range of each group: the global simple constraint (if
+    /// any) first, then every disjunctive case in profile order.
+    groups: Vec<Range<usize>>,
+    /// Whether group 0 is the global simple constraint.
+    global: bool,
     /// Lowered disjunctive constraints, in profile order.
     disjunctive: Vec<CompiledDisjunctive>,
     /// Top-level conjunction size: `global` (0/1) + disjunctive count.
@@ -116,48 +133,34 @@ type BoundCases<'a> = Vec<(&'a [u32], Vec<Option<usize>>)>;
 /// A plan bound to one frame: columns resolved once, partition cases
 /// lowered to per-dictionary-code case indices.
 struct BoundFrame<'a> {
-    view: NumericView<'a>,
+    /// The numeric columns, in plan attribute order.
+    cols: Vec<&'a [f64]>,
     n_rows: usize,
     /// Per disjunctive: the code column and case-index table.
     cats: BoundCases<'a>,
 }
 
-/// Reusable per-thread evaluation buffers.
+/// Reusable per-thread evaluation buffer: the current block's tuples,
+/// row-major (row `i` of the block at `[i·m..(i+1)·m]`), so the kernel
+/// reads each tuple as one contiguous slice — the same shape a
+/// single-tuple caller passes in. Sized for one block up front; steady
+/// state never reallocates it.
 struct Scratch {
-    /// SoA gather target, `m × b`.
-    block: Vec<f64>,
-    /// Projection values for the kernel rows, `rows × b`.
-    vals: Vec<f64>,
-    /// Per-row group accumulator, `b`.
-    acc: Vec<f64>,
-    /// Per-case row buckets for partition dispatch (row offsets within
-    /// the block), one per case of the widest disjunctive.
-    buckets: Vec<Vec<u32>>,
-    /// Case-local dense SoA gather target, `m × max bucket size`.
-    sub_block: Vec<f64>,
-    /// Case-local projection values, `max case length × max bucket size`.
-    sub_vals: Vec<f64>,
-    /// Case-local per-row accumulator.
-    sub_acc: Vec<f64>,
+    rows: Vec<f64>,
 }
 
 impl Scratch {
-    /// `kernel_rows` is how many plan rows go through the whole-block
-    /// kernel (the global rows on the serving path; all `k` for
-    /// per-constraint analysis).
-    fn new(plan: &CompiledProfile, kernel_rows: usize) -> Self {
-        let max_cases = plan.disjunctive.iter().map(|d| d.cases.len()).max().unwrap_or(0);
-        let max_case_len =
-            plan.disjunctive.iter().flat_map(|d| d.cases.iter().map(Range::len)).max().unwrap_or(0);
-        Scratch {
-            block: Vec::with_capacity(plan.m * EVAL_BLOCK_ROWS),
-            vals: vec![0.0; kernel_rows * EVAL_BLOCK_ROWS],
-            acc: vec![0.0; EVAL_BLOCK_ROWS],
-            buckets: vec![Vec::with_capacity(EVAL_BLOCK_ROWS); max_cases],
-            sub_block: vec![0.0; plan.m * EVAL_BLOCK_ROWS],
-            sub_vals: vec![0.0; max_case_len * EVAL_BLOCK_ROWS],
-            sub_acc: vec![0.0; EVAL_BLOCK_ROWS],
+    fn new(plan: &CompiledProfile, n_rows: usize) -> Self {
+        Scratch { rows: Vec::with_capacity(plan.m * n_rows.min(EVAL_BLOCK_ROWS)) }
+    }
+
+    /// Gathers `rows` of the bound columns into the buffer, row-major.
+    fn gather(&mut self, cols: &[&[f64]], rows: Range<usize>) -> &[f64] {
+        self.rows.clear();
+        for i in rows {
+            self.rows.extend(cols.iter().map(|col| col[i]));
         }
+        &self.rows
     }
 }
 
@@ -176,59 +179,76 @@ impl CompiledProfile {
     /// path's hot loop.
     pub fn compile(profile: &ConformanceProfile) -> Self {
         let m = profile.numeric_attributes.len();
-        let mut plan = CompiledProfile {
+        let mut simple: Vec<&SimpleConstraint> = Vec::new();
+        simple.extend(&profile.global);
+        let mut disjunctive = Vec::with_capacity(profile.disjunctive.len());
+        for d in &profile.disjunctive {
+            disjunctive.push(CompiledDisjunctive {
+                attribute: d.attribute.clone(),
+                labels: d.cases.iter().map(|(value, _)| value.clone()).collect(),
+                first: simple.len(),
+            });
+            simple.extend(d.cases.iter().map(|(_, c)| c));
+        }
+        for (g, sc) in simple.iter().enumerate() {
+            for c in &sc.conjuncts {
+                assert_eq!(
+                    c.projection.coefficients.len(),
+                    m,
+                    "CompiledProfile::compile: projection arity mismatch in {}",
+                    group_name(profile.global.is_some(), &disjunctive, g)
+                );
+            }
+        }
+        // Each group's (conjunct, γ) pairs — zipped, as the interpreted
+        // path folds them.
+        let groups: Vec<Vec<_>> =
+            simple.iter().map(|sc| sc.conjuncts.iter().zip(&sc.weights).collect()).collect();
+        // One plan-wide lane count: the widest group, rounded up to a
+        // multiple of 4 (at least 4, so an empty group still has a tile
+        // that evaluates to exactly +0.0), then to whole tiles.
+        let width = groups.iter().map(Vec::len).max().unwrap_or(0);
+        let lanes = width.div_ceil(4).max(1) * 4;
+        let tile = lanes.min(MAX_TILE);
+        let tiles = lanes.div_ceil(tile);
+        let mut panels = Vec::with_capacity(groups.len() * tiles * (m + LANE_ARRAYS) * tile);
+        for group in &groups {
+            for t in 0..tiles {
+                // Padded lanes (`None`): zero coefficients, `lb = −∞`,
+                // `ub = +∞`, `α = γ = 0`.
+                let lanes: Vec<_> = (0..tile).map(|l| group.get(t * tile + l)).collect();
+                for j in 0..m {
+                    panels.extend(
+                        lanes.iter().map(|c| c.map_or(0.0, |(c, _)| c.projection.coefficients[j])),
+                    );
+                }
+                panels.extend(lanes.iter().map(|c| c.map_or(f64::NEG_INFINITY, |(c, _)| c.lb)));
+                panels.extend(lanes.iter().map(|c| c.map_or(f64::INFINITY, |(c, _)| c.ub)));
+                panels.extend(lanes.iter().map(|c| c.map_or(0.0, |(c, _)| c.alpha)));
+                panels.extend(lanes.iter().map(|c| c.map_or(0.0, |(_, &w)| w)));
+            }
+        }
+        let mut k = 0;
+        let groups = groups
+            .iter()
+            .map(|group| {
+                k += group.len();
+                k - group.len()..k
+            })
+            .collect();
+        COMPILES.with(|c| c.set(c.get() + 1));
+        CompiledProfile {
             attributes: profile.numeric_attributes.clone(),
             m,
-            k: 0,
-            coeffs: Vec::new(),
-            lb: Vec::new(),
-            ub: Vec::new(),
-            alpha: Vec::new(),
-            weight: Vec::new(),
-            global: None,
-            disjunctive: Vec::new(),
-            parts: 0,
-        };
-        if let Some(g) = &profile.global {
-            plan.global = Some(plan.push_simple(g, "<global>"));
-            plan.parts += 1;
+            k,
+            tile,
+            tiles,
+            panels,
+            groups,
+            global: profile.global.is_some(),
+            parts: usize::from(profile.global.is_some()) + disjunctive.len(),
+            disjunctive,
         }
-        for d in &profile.disjunctive {
-            let mut labels = Vec::with_capacity(d.cases.len());
-            let mut cases = Vec::with_capacity(d.cases.len());
-            for (value, c) in &d.cases {
-                cases.push(plan.push_simple(c, &format!("{}={}", d.attribute, value)));
-                labels.push(value.clone());
-            }
-            plan.disjunctive.push(CompiledDisjunctive {
-                attribute: d.attribute.clone(),
-                labels,
-                cases,
-            });
-            plan.parts += 1;
-        }
-        COMPILES.with(|c| c.set(c.get() + 1));
-        plan
-    }
-
-    /// Appends one simple constraint's conjuncts to the plan, returning
-    /// their plan-row range.
-    fn push_simple(&mut self, sc: &SimpleConstraint, group: &str) -> Range<usize> {
-        let start = self.k;
-        for (c, &w) in sc.conjuncts.iter().zip(&sc.weights) {
-            assert_eq!(
-                c.projection.coefficients.len(),
-                self.m,
-                "CompiledProfile::compile: projection arity mismatch in {group}"
-            );
-            self.coeffs.extend_from_slice(&c.projection.coefficients);
-            self.lb.push(c.lb);
-            self.ub.push(c.ub);
-            self.alpha.push(c.alpha);
-            self.weight.push(w);
-            self.k += 1;
-        }
-        start..self.k
     }
 
     /// The numeric attributes the plan evaluates, in tuple order.
@@ -241,25 +261,36 @@ impl CompiledProfile {
         self.k
     }
 
+    /// Floats per tile of a panel.
+    fn tile_len(&self) -> usize {
+        (self.m + LANE_ARRAYS) * self.tile
+    }
+
+    /// Tile `t` of group `g`'s panel, split into its `m × tile`
+    /// coefficients and its lane arrays. Plain offset arithmetic: the
+    /// kernel calls this per group and row, where a division (as
+    /// `chunks_exact` with a run-time width performs) would cost more
+    /// than the tile's arithmetic.
+    #[inline(always)]
+    fn tile(&self, g: usize, t: usize) -> (&[f64], &[f64]) {
+        let len = self.tile_len();
+        let start = (g * self.tiles + t) * len;
+        self.panels[start..start + len].split_at(self.m * self.tile)
+    }
+
     /// Human-readable label of each plan row: the owning group
     /// (`<global>` or `attribute=value`) plus the projection expression.
     /// Rendered on demand — the serving surfaces that compile per call
     /// never pay for label formatting.
     pub fn constraint_labels(&self) -> Vec<String> {
-        let mut out = vec![String::new(); self.k];
-        let mut fill = |range: Range<usize>, group: &str| {
-            for c in range {
-                let coeffs = self.coeffs[c * self.m..(c + 1) * self.m].to_vec();
+        let mut out = Vec::with_capacity(self.k);
+        for (g, rows) in self.groups.iter().enumerate() {
+            let group = group_name(self.global, &self.disjunctive, g);
+            for lane in 0..rows.len() {
+                let (tile, _) = self.tile(g, lane / self.tile);
+                let coeffs = (0..self.m).map(|j| tile[j * self.tile + lane % self.tile]).collect();
                 let expr = crate::Projection::new(self.attributes.clone(), coeffs).expression();
-                out[c] = format!("{group}: {expr}");
-            }
-        };
-        if let Some(g) = &self.global {
-            fill(g.clone(), "<global>");
-        }
-        for d in &self.disjunctive {
-            for (label, case) in d.labels.iter().zip(&d.cases) {
-                fill(case.clone(), &format!("{}={label}", d.attribute));
+                out.push(format!("{group}: {expr}"));
             }
         }
         out
@@ -268,14 +299,14 @@ impl CompiledProfile {
     /// Resolves the columns this plan needs from a frame and lowers each
     /// switching attribute's dictionary to a `code → case index` table.
     fn bind<'a>(&self, df: &'a DataFrame) -> Result<BoundFrame<'a>, ProfileError> {
-        // Check attribute-by-attribute so the error names the missing
-        // column, matching the interpreted path.
-        for a in &self.attributes {
-            df.numeric(a).map_err(|_| ProfileError::MissingNumeric(a.clone()))?;
-        }
-        let names: Vec<&str> = self.attributes.iter().map(String::as_str).collect();
-        let view = df.numeric_view(&names).expect("columns checked above");
-        Ok(BoundFrame { view, n_rows: df.n_rows(), cats: self.bind_cases(df)? })
+        // Attribute by attribute, so the error names the missing column,
+        // matching the interpreted path.
+        let cols = self
+            .attributes
+            .iter()
+            .map(|a| df.numeric(a).map_err(|_| ProfileError::MissingNumeric(a.clone())))
+            .collect::<Result<_, _>>()?;
+        Ok(BoundFrame { cols, n_rows: df.n_rows(), cats: self.bind_cases(df)? })
     }
 
     /// The categorical half of [`Self::bind`]: per disjunctive, the code
@@ -295,8 +326,7 @@ impl CompiledProfile {
     }
 
     /// Evaluates rows `range` of a bound frame into `out` (aligned with
-    /// the range). The core blocked pipeline: gather → kernel → fused
-    /// epilogue → group fold.
+    /// the range), block by block.
     fn eval_range(
         &self,
         bound: &BoundFrame<'_>,
@@ -316,14 +346,6 @@ impl CompiledProfile {
         }
     }
 
-    /// Kernel row count on the serving path: the global rows sit first in
-    /// the plan, so they form the contiguous prefix the blocked kernel
-    /// processes. Disjunctive case rows are evaluated per selected row
-    /// only (see [`Self::eval_block`]).
-    fn kernel_rows(&self) -> usize {
-        self.global.as_ref().map_or(0, |g| g.end)
-    }
-
     /// One block: at most [`EVAL_BLOCK_ROWS`] rows.
     fn eval_block(
         &self,
@@ -332,127 +354,14 @@ impl CompiledProfile {
         scratch: &mut Scratch,
         out: &mut [f64],
     ) {
-        let b = rows.len();
-        debug_assert!(b <= EVAL_BLOCK_ROWS && out.len() == b);
-        let Scratch { block, vals, acc, buckets, sub_block, sub_vals, sub_acc } = scratch;
-        // 1. Gather the block into SoA scratch (one contiguous copy per
-        //    attribute).
-        bound.view.gather_chunk(rows.clone(), block);
-        out.fill(0.0);
+        debug_assert!(rows.len() <= EVAL_BLOCK_ROWS && out.len() == rows.len());
         if self.parts == 0 {
+            out.fill(0.0);
             return;
         }
-        // 2. The global rows — which every tuple evaluates — through the
-        //    blocked kernel, then the fused epilogue (see
-        //    `accumulate_group_terms`). Group sums land in the per-row
-        //    accumulator in ascending constraint order, the interpreted
-        //    path's exact fold, then clamp into the output — the
-        //    interpreted top-level conjunction folds global first.
-        let g_end = self.kernel_rows();
-        if g_end > 0 {
-            let vals = &mut vals[..g_end * b];
-            block_matvec(&self.coeffs[..g_end * self.m], g_end, self.m, block, b, vals);
-            let acc = &mut acc[..b];
-            acc.fill(0.0);
-            self.accumulate_group_terms(0..g_end, vals, acc);
-            for (o, &a) in out.iter_mut().zip(acc.iter()) {
-                *o += a.clamp(0.0, 1.0);
-            }
-        }
-        // 3. Disjunctive constraints, partition-aware: a tuple evaluates
-        //    only the case its dictionary code selects, so pushing every
-        //    case through the kernel over all rows would waste both the
-        //    arithmetic and — far worse — the η calls for the (typically
-        //    wildly violated) cases the tuple does not belong to. Bucket
-        //    the block's rows by case index, gather each bucket into a
-        //    dense case-local sub-block, and run the same kernel + fused
-        //    epilogue over just those rows.
-        for (d, (codes, table)) in self.disjunctive.iter().zip(&bound.cats) {
-            let codes = &codes[rows.clone()];
-            for bucket in buckets[..d.cases.len()].iter_mut() {
-                bucket.clear();
-            }
-            for (i, (o, &code)) in out.iter_mut().zip(codes).enumerate() {
-                match table[code as usize] {
-                    Some(ci) => buckets[ci].push(i as u32),
-                    // Unseen in training ⇒ this part contributes exactly 1.
-                    None => *o += 1.0,
-                }
-            }
-            for (ci, bucket) in buckets[..d.cases.len()].iter().enumerate() {
-                if bucket.is_empty() {
-                    continue;
-                }
-                let case = d.cases[ci].clone();
-                let bl = bucket.len();
-                // Dense case-local SoA gather: the bucket's rows become
-                // contiguous, so the kernel and epilogue sweep linearly.
-                let sub_block = &mut sub_block[..self.m * bl];
-                for (j, col) in block.chunks_exact(b).enumerate() {
-                    for (s, &i) in sub_block[j * bl..(j + 1) * bl].iter_mut().zip(bucket.iter()) {
-                        *s = col[i as usize];
-                    }
-                }
-                let sub_vals = &mut sub_vals[..case.len() * bl];
-                block_matvec(
-                    &self.coeffs[case.start * self.m..case.end * self.m],
-                    case.len(),
-                    self.m,
-                    sub_block,
-                    bl,
-                    sub_vals,
-                );
-                let sub_acc = &mut sub_acc[..bl];
-                sub_acc.fill(0.0);
-                self.accumulate_group_terms(case, sub_vals, sub_acc);
-                // Scatter the clamped case sums back to their rows. Each
-                // row selects exactly one case per disjunctive, so this
-                // adds each disjunctive's contribution once, in group
-                // order.
-                for (&i, &a) in bucket.iter().zip(sub_acc.iter()) {
-                    out[i as usize] += a.clamp(0.0, 1.0);
-                }
-            }
-        }
-        let parts = self.parts as f64;
-        for o in out.iter_mut() {
-            *o /= parts;
-        }
-    }
-
-    /// The fused epilogue for one constraint group: for each plan row `c`
-    /// of `group` (whose projection values occupy `vals[local·n..]` in
-    /// ascending order), turn projection values into bound excesses and
-    /// fold the γ-weighted η terms into the per-row accumulator — in
-    /// ascending `c`, the interpreted path's exact order.
-    ///
-    /// Two-pass per constraint: the excess pass is branch-free and
-    /// vectorizes; the η pass — the only place `exp` lives — runs only
-    /// when some row actually violates the constraint. Skipping it
-    /// otherwise is bit-exact: every skipped term is exactly `+0.0`, and
-    /// the accumulator is never `-0.0` (it starts at `+0.0` and only ever
-    /// adds non-negative terms), so `acc + 0.0 ≡ acc`. The excess itself
-    /// is never NaN — `f64::max` returns the non-NaN operand, so the
-    /// trailing `.max(0.0)` collapses NaN inputs to exactly `0.0` — and
-    /// the interpreted path computes the identical expression, so a NaN
-    /// tuple scores as conforming on both paths alike.
-    fn accumulate_group_terms(&self, group: Range<usize>, vals: &mut [f64], acc: &mut [f64]) {
-        let n = acc.len();
-        debug_assert_eq!(vals.len(), group.len() * n);
-        for (c, row) in group.clone().zip(vals.chunks_exact_mut(n)) {
-            let (lb, ub, alpha, w) = (self.lb[c], self.ub[c], self.alpha[c], self.weight[c]);
-            let mut fired = false;
-            for v in row.iter_mut() {
-                let e = (*v - ub).max(lb - *v).max(0.0);
-                *v = e;
-                fired |= e != 0.0;
-            }
-            if fired {
-                for (a, &e) in acc.iter_mut().zip(row.iter()) {
-                    *a += if e == 0.0 { 0.0 } else { w * eta(alpha * e) };
-                }
-            }
-        }
+        let start = rows.start;
+        let x = scratch.gather(&bound.cols, rows);
+        self.dispatch(&mut ServeBlock { cats: &bound.cats, start, x, out });
     }
 
     /// Per-tuple violations for every row of a frame. Bit-identical to
@@ -463,7 +372,7 @@ impl CompiledProfile {
     pub fn violations(&self, df: &DataFrame) -> Result<Vec<f64>, ProfileError> {
         let bound = self.bind(df)?;
         let mut out = vec![0.0; bound.n_rows];
-        let mut scratch = Scratch::new(self, self.kernel_rows());
+        let mut scratch = Scratch::new(self, bound.n_rows);
         self.eval_range(&bound, 0..bound.n_rows, &mut scratch, &mut out);
         Ok(out)
     }
@@ -487,7 +396,7 @@ impl CompiledProfile {
         let n = bound.n_rows;
         let mut out = vec![0.0; n];
         if n_threads == 1 || n < 2 * EVAL_BLOCK_ROWS {
-            let mut scratch = Scratch::new(self, self.kernel_rows());
+            let mut scratch = Scratch::new(self, n);
             self.eval_range(&bound, 0..n, &mut scratch, &mut out);
             return Ok(out);
         }
@@ -503,7 +412,7 @@ impl CompiledProfile {
                 rest = tail;
                 let range = start..stop;
                 scope.spawn(move || {
-                    let mut scratch = Scratch::new(self, self.kernel_rows());
+                    let mut scratch = Scratch::new(self, range.len());
                     self.eval_range(bound, range, &mut scratch, mine);
                 });
                 start = stop;
@@ -523,7 +432,7 @@ impl CompiledProfile {
         mut f: impl FnMut(f64),
     ) -> Result<(), ProfileError> {
         let bound = self.bind(df)?;
-        let mut scratch = Scratch::new(self, self.kernel_rows());
+        let mut scratch = Scratch::new(self, bound.n_rows);
         let mut block_out = vec![0.0; EVAL_BLOCK_ROWS.min(bound.n_rows.max(1))];
         let mut start = 0;
         while start < bound.n_rows {
@@ -604,7 +513,8 @@ impl CompiledProfile {
     /// Single-tuple violation with pre-resolved disjunctive cases —
     /// bit-identical to [`ConformanceProfile::violation`] for the
     /// categorical values the cases were resolved from, with no name
-    /// resolution or string matching.
+    /// resolution or string matching. The tuple goes through the block
+    /// kernel as it is, without a copy.
     ///
     /// # Panics
     /// Debug-asserts the tuple arity and case count.
@@ -614,30 +524,9 @@ impl CompiledProfile {
         if self.parts == 0 {
             return 0.0;
         }
-        let mut total = 0.0;
-        if let Some(g) = &self.global {
-            total += self.scalar_group(g.clone(), numeric);
-        }
-        for (d, case) in self.disjunctive.iter().zip(cases) {
-            total += match case {
-                Some(ci) => self.scalar_group(d.cases[*ci].clone(), numeric),
-                None => 1.0,
-            };
-        }
-        total / self.parts as f64
-    }
-
-    /// One group's clamped, γ-weighted violation for a single tuple, in
-    /// the interpreted path's exact accumulation order.
-    fn scalar_group(&self, rows: Range<usize>, numeric: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for c in rows {
-            let coeffs = &self.coeffs[c * self.m..(c + 1) * self.m];
-            let v: f64 = numeric.iter().zip(coeffs).map(|(x, w)| x * w).sum();
-            let excess = (v - self.ub[c]).max(self.lb[c] - v).max(0.0);
-            acc += if excess == 0.0 { 0.0 } else { self.weight[c] * eta(self.alpha[c] * excess) };
-        }
-        acc.clamp(0.0, 1.0)
+        let mut tuple = Tuple { x: numeric, cases, out: 0.0 };
+        self.dispatch(&mut tuple);
+        tuple.out
     }
 
     /// Mean γ-weighted contribution of every plan constraint over a frame
@@ -647,41 +536,36 @@ impl CompiledProfile {
     /// (other rows never evaluate them); all means divide by the full row
     /// count. Entry order matches [`Self::constraint_labels`].
     ///
+    /// Runs on the serving kernel's projections. The fold order is fixed:
+    /// a global constraint's terms are summed per [`EVAL_BLOCK_ROWS`]
+    /// block, and each block sum is added to its total; a case
+    /// constraint's terms are added to its total row by row.
+    ///
     /// # Errors
     /// Fails when the frame lacks any attribute the profile needs.
     pub fn mean_constraint_contributions(&self, df: &DataFrame) -> Result<Vec<f64>, ProfileError> {
         let bound = self.bind(df)?;
         let n = bound.n_rows;
         let mut totals = vec![0.0; self.k];
-        let mut scratch = Scratch::new(self, self.k);
+        let mut block_sums = vec![0.0; self.global_rows()];
+        let mut scratch = Scratch::new(self, n);
         let mut start = 0;
         while start < n {
             let stop = (start + EVAL_BLOCK_ROWS).min(n);
-            let b = stop - start;
-            bound.view.gather_chunk(start..stop, &mut scratch.block);
-            let vals = &mut scratch.vals[..self.k * b];
-            block_matvec(&self.coeffs, self.k, self.m, &scratch.block, b, vals);
-            for c in 0..self.k {
-                let (lb, ub, alpha, w) = (self.lb[c], self.ub[c], self.alpha[c], self.weight[c]);
-                for v in &mut vals[c * b..(c + 1) * b] {
-                    let excess = (*v - ub).max(lb - *v).max(0.0);
-                    *v = if excess == 0.0 { 0.0 } else { w * eta(alpha * excess) };
-                }
-            }
-            if let Some(g) = &self.global {
-                for c in g.clone() {
-                    totals[c] += vals[c * b..(c + 1) * b].iter().sum::<f64>();
-                }
-            }
-            for (d, (codes, table)) in self.disjunctive.iter().zip(&bound.cats) {
-                let codes = &codes[start..stop];
-                for (i, &code) in codes.iter().enumerate() {
-                    if let Some(ci) = table[code as usize] {
-                        for c in d.cases[ci].clone() {
-                            totals[c] += vals[c * b + i];
-                        }
-                    }
-                }
+            // The empty sum: a block sum is the left fold `Iterator::sum`
+            // computes over the block's terms.
+            block_sums.fill(std::iter::empty::<f64>().sum());
+            let x = scratch.gather(&bound.cols, start..stop);
+            self.dispatch(&mut ContributionBlock {
+                cats: &bound.cats,
+                start,
+                rows: stop - start,
+                x,
+                block_sums: &mut block_sums,
+                totals: &mut totals,
+            });
+            for (t, s) in totals.iter_mut().zip(&block_sums) {
+                *t += s;
             }
             start = stop;
         }
@@ -691,6 +575,326 @@ impl CompiledProfile {
         }
         Ok(totals)
     }
+
+    /// Plan rows of the global group (0 without one).
+    fn global_rows(&self) -> usize {
+        if self.global {
+            self.groups[0].len()
+        } else {
+            0
+        }
+    }
+
+    /// Runs `pass` monomorphised on the plan's tile width — under AVX when
+    /// the CPU has it. Called once per block or tuple, never per row.
+    fn dispatch(&self, pass: &mut impl Pass) {
+        match self.tile {
+            4 => run_tile::<4>(self, pass),
+            8 => run_tile::<8>(self, pass),
+            12 => run_tile::<12>(self, pass),
+            16 => run_tile::<16>(self, pass),
+            t => unreachable!("tile width {t} is not a multiple of 4 up to {MAX_TILE}"),
+        }
+    }
+
+    /// Group `g`'s violation for the tuple `x`, clamped to `[0, 1]`.
+    #[inline(always)]
+    fn group<const T: usize>(&self, g: usize, x: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for t in 0..self.tiles {
+            let (coeffs, lanes) = self.tile(g, t);
+            acc = fold_fired::<T>(&project::<T>(coeffs, x), lanes, acc);
+        }
+        acc.clamp(0.0, 1.0)
+    }
+
+    /// [`Self::group`] for two tuples at once — group `g0` for `x0`, `g1`
+    /// for `x1` — so the two rows' lane chains interleave.
+    #[inline(always)]
+    fn group_pair<const T: usize>(
+        &self,
+        g0: usize,
+        x0: &[f64],
+        g1: usize,
+        x1: &[f64],
+    ) -> (f64, f64) {
+        let (mut acc0, mut acc1) = (0.0, 0.0);
+        for t in 0..self.tiles {
+            let (c0, lanes0) = self.tile(g0, t);
+            let (c1, lanes1) = self.tile(g1, t);
+            let (v0, v1) = project_pair::<T>(c0, x0, c1, x1);
+            acc0 = fold_fired::<T>(&v0, lanes0, acc0);
+            acc1 = fold_fired::<T>(&v1, lanes1, acc1);
+        }
+        (acc0.clamp(0.0, 1.0), acc1.clamp(0.0, 1.0))
+    }
+
+    /// One tuple's violation: the global group, then each disjunctive's
+    /// selected case (`None` adds exactly 1), divided by the part count.
+    #[inline(always)]
+    fn tuple<const T: usize>(&self, x: &[f64], cases: impl Iterator<Item = Option<usize>>) -> f64 {
+        let mut total = 0.0;
+        if self.global {
+            total += self.group::<T>(0, x);
+        }
+        for (d, case) in self.disjunctive.iter().zip(cases) {
+            total += match case {
+                Some(ci) => self.group::<T>(d.first + ci, x),
+                None => 1.0,
+            };
+        }
+        total / self.parts as f64
+    }
+
+    /// Calls `f(plan row, term)` for every constraint of group `g` on the
+    /// tuple `x`, in ascending plan-row order, where `term` is the
+    /// constraint's γ-weighted contribution.
+    #[inline(always)]
+    fn terms<const T: usize>(&self, g: usize, x: &[f64], mut f: impl FnMut(usize, f64)) {
+        let rows = self.groups[g].clone();
+        for t in 0..self.tiles {
+            let (coeffs, lanes) = self.tile(g, t);
+            let v = project::<T>(coeffs, x);
+            let (lb, ub, alpha, w) = lane_arrays::<T>(lanes);
+            for l in 0..T.min(rows.len().saturating_sub(t * T)) {
+                let excess = (v[l] - ub[l]).max(lb[l] - v[l]).max(0.0);
+                f(
+                    rows.start + t * T + l,
+                    if excess == 0.0 { 0.0 } else { w[l] * eta(alpha[l] * excess) },
+                );
+            }
+        }
+    }
+}
+
+/// `<global>` or `attribute=value` for plan group `g`.
+fn group_name(global: bool, disjunctive: &[CompiledDisjunctive], g: usize) -> String {
+    if global && g == 0 {
+        return "<global>".into();
+    }
+    let d = disjunctive
+        .iter()
+        .find(|d| (d.first..d.first + d.labels.len()).contains(&g))
+        .expect("group belongs to a disjunctive");
+    format!("{}={}", d.attribute, d.labels[g - d.first])
+}
+
+/// A pass over a plan's groups, monomorphised on the tile width `T`.
+/// Implementations must be `#[inline(always)]`, so that the AVX wrapper
+/// compiles their body with AVX enabled.
+trait Pass {
+    fn run<const T: usize>(&mut self, plan: &CompiledProfile);
+}
+
+/// Runs `pass` with tile width `T`, through the AVX wrapper when the CPU
+/// supports it.
+#[inline(always)]
+fn run_tile<const T: usize>(plan: &CompiledProfile, pass: &mut impl Pass) {
+    #[cfg(target_arch = "x86_64")]
+    if avx_available() {
+        // SAFETY: AVX support was verified at runtime; the wrapped body is
+        // plain Rust (no intrinsics), merely compiled with 4-lane f64
+        // vectors enabled.
+        unsafe {
+            return run_avx::<T, _>(plan, pass);
+        }
+    }
+    pass.run::<T>(plan);
+}
+
+/// Runtime AVX check, done once.
+#[cfg(target_arch = "x86_64")]
+fn avx_available() -> bool {
+    use std::sync::OnceLock;
+    static AVX: OnceLock<bool> = OnceLock::new();
+    *AVX.get_or_init(|| std::arch::is_x86_feature_detected!("avx"))
+}
+
+/// [`Pass::run`] compiled with AVX enabled (4 f64 lanes per register).
+/// The `fma` feature is deliberately NOT enabled: fused multiply–add
+/// skips the intermediate rounding and would break bit-identity with the
+/// scalar reference path.
+///
+/// # Safety
+/// The caller must have verified AVX support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn run_avx<const T: usize, P: Pass>(plan: &CompiledProfile, pass: &mut P) {
+    pass.run::<T>(plan);
+}
+
+/// The serving pass over one gathered block: each row's violation into
+/// `out`.
+struct ServeBlock<'s, 'a> {
+    cats: &'s BoundCases<'a>,
+    /// Frame row of the block's first row.
+    start: usize,
+    /// The block's tuples, row-major.
+    x: &'s [f64],
+    out: &'s mut [f64],
+}
+
+impl Pass for ServeBlock<'_, '_> {
+    #[inline(always)]
+    fn run<const T: usize>(&mut self, plan: &CompiledProfile) {
+        let (m, b) = (plan.m, self.out.len());
+        let parts = plan.parts as f64;
+        let row = |i: usize| &self.x[i * m..(i + 1) * m];
+        let mut i = 0;
+        while i + 1 < b {
+            let (x0, x1) = (row(i), row(i + 1));
+            let (mut t0, mut t1) = (0.0, 0.0);
+            if plan.global {
+                let (a0, a1) = plan.group_pair::<T>(0, x0, 0, x1);
+                t0 += a0;
+                t1 += a1;
+            }
+            let r = self.start + i;
+            for (d, (codes, table)) in plan.disjunctive.iter().zip(self.cats) {
+                let (a0, a1) = match (table[codes[r] as usize], table[codes[r + 1] as usize]) {
+                    (Some(c0), Some(c1)) => {
+                        plan.group_pair::<T>(d.first + c0, x0, d.first + c1, x1)
+                    }
+                    (Some(c0), None) => (plan.group::<T>(d.first + c0, x0), 1.0),
+                    (None, Some(c1)) => (1.0, plan.group::<T>(d.first + c1, x1)),
+                    (None, None) => (1.0, 1.0),
+                };
+                t0 += a0;
+                t1 += a1;
+            }
+            self.out[i] = t0 / parts;
+            self.out[i + 1] = t1 / parts;
+            i += 2;
+        }
+        if i < b {
+            let r = self.start + i;
+            let cases = self.cats.iter().map(|(codes, table)| table[codes[r] as usize]);
+            self.out[i] = plan.tuple::<T>(row(i), cases);
+        }
+    }
+}
+
+/// The single-tuple pass behind [`CompiledProfile::violation_resolved`].
+struct Tuple<'s> {
+    x: &'s [f64],
+    cases: &'s [Option<usize>],
+    out: f64,
+}
+
+impl Pass for Tuple<'_> {
+    #[inline(always)]
+    fn run<const T: usize>(&mut self, plan: &CompiledProfile) {
+        self.out = plan.tuple::<T>(self.x, self.cases.iter().copied());
+    }
+}
+
+/// The per-constraint pass over one gathered block, behind
+/// [`CompiledProfile::mean_constraint_contributions`]: global terms fold
+/// into `block_sums`, the selected case's terms straight into `totals`.
+struct ContributionBlock<'s, 'a> {
+    cats: &'s BoundCases<'a>,
+    start: usize,
+    /// Rows in the block (`x` is empty when the plan has no attributes).
+    rows: usize,
+    x: &'s [f64],
+    block_sums: &'s mut [f64],
+    totals: &'s mut [f64],
+}
+
+impl Pass for ContributionBlock<'_, '_> {
+    #[inline(always)]
+    fn run<const T: usize>(&mut self, plan: &CompiledProfile) {
+        let m = plan.m;
+        for i in 0..self.rows {
+            let x = &self.x[i * m..(i + 1) * m];
+            if plan.global {
+                let sums = &mut *self.block_sums;
+                plan.terms::<T>(0, x, |c, term| sums[c] += term);
+            }
+            let r = self.start + i;
+            for (d, (codes, table)) in plan.disjunctive.iter().zip(self.cats) {
+                if let Some(ci) = table[codes[r] as usize] {
+                    let totals = &mut *self.totals;
+                    plan.terms::<T>(d.first + ci, x, |c, term| totals[c] += term);
+                }
+            }
+        }
+    }
+}
+
+/// Lane projections of one tile: lane `l` folds `w·x` over the
+/// attributes from `+0.0`, in ascending attribute order. `coeffs` is
+/// attribute-major (`m × T`).
+#[inline(always)]
+fn project<const T: usize>(coeffs: &[f64], x: &[f64]) -> [f64; T] {
+    let mut acc = [0.0; T];
+    for (w, &xj) in coeffs.chunks_exact(T).zip(x) {
+        let w: &[f64; T] = w.try_into().expect("tile-wide chunk");
+        for l in 0..T {
+            acc[l] += w[l] * xj;
+        }
+    }
+    acc
+}
+
+/// [`project`] for two tuples over (possibly) different panels, in one
+/// attribute loop.
+#[inline(always)]
+fn project_pair<const T: usize>(
+    c0: &[f64],
+    x0: &[f64],
+    c1: &[f64],
+    x1: &[f64],
+) -> ([f64; T], [f64; T]) {
+    let (mut a0, mut a1) = ([0.0; T], [0.0; T]);
+    for ((w0, w1), (&y0, &y1)) in c0.chunks_exact(T).zip(c1.chunks_exact(T)).zip(x0.iter().zip(x1))
+    {
+        let w0: &[f64; T] = w0.try_into().expect("tile-wide chunk");
+        let w1: &[f64; T] = w1.try_into().expect("tile-wide chunk");
+        for l in 0..T {
+            a0[l] += w0[l] * y0;
+            a1[l] += w1[l] * y1;
+        }
+    }
+    (a0, a1)
+}
+
+/// A tile's `lb`, `ub`, `α`, `γ` arrays.
+#[inline(always)]
+fn lane_arrays<const T: usize>(lanes: &[f64]) -> (&[f64], &[f64], &[f64], &[f64]) {
+    let (lb, rest) = lanes.split_at(T);
+    let (ub, rest) = rest.split_at(T);
+    let (alpha, w) = rest.split_at(T);
+    (lb, ub, alpha, &w[..T])
+}
+
+/// Folds one tile's γ-weighted `η` terms into `acc`, in ascending lane
+/// order. The bound-excess pass is branch-free and vectorizes; the `η`
+/// pass — the only place `exp` lives — runs only when some lane fires,
+/// and only for those lanes. Skipping a lane whose excess is exactly zero
+/// is bit-exact: its term is `+0.0`, and `acc` is never `-0.0` (it starts
+/// at `+0.0` and only adds terms), so `acc + 0.0 ≡ acc`. The excess is
+/// never NaN — `f64::max` returns the non-NaN operand, so the trailing
+/// `.max(0.0)` collapses a NaN to exactly `0.0` — and the interpreted
+/// path computes the identical expression, so a NaN tuple scores as
+/// conforming on both paths alike.
+#[inline(always)]
+fn fold_fired<const T: usize>(v: &[f64; T], lanes: &[f64], mut acc: f64) -> f64 {
+    let (lb, ub, alpha, w) = lane_arrays::<T>(lanes);
+    let mut excess = [0.0; T];
+    let mut fired = false;
+    for l in 0..T {
+        excess[l] = (v[l] - ub[l]).max(lb[l] - v[l]).max(0.0);
+        fired |= excess[l] != 0.0;
+    }
+    if fired {
+        for l in 0..T {
+            if excess[l] != 0.0 {
+                acc += w[l] * eta(alpha[l] * excess[l]);
+            }
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -836,6 +1040,38 @@ mod tests {
         assert_eq!(contributions.len(), plan.constraint_count());
         // Conforming data: contributions are all (near) zero.
         assert!(contributions.iter().all(|&c| (0.0..0.05).contains(&c)), "{contributions:?}");
+    }
+
+    #[test]
+    fn zero_coefficient_times_infinity_is_not_skipped() {
+        use crate::constraint::{BoundedConstraint, SimpleConstraint};
+        use crate::projection::Projection;
+        // w = 0 must not be skipped: 0 · ∞ = NaN makes the projection NaN,
+        // which scores as conforming on both paths, while skipping the
+        // term would leave y = 2, outside [−1, 1].
+        let attrs = vec!["x".to_string(), "y".to_string()];
+        let profile = ConformanceProfile {
+            numeric_attributes: attrs.clone(),
+            global: Some(SimpleConstraint::new(
+                vec![BoundedConstraint {
+                    projection: Projection::new(attrs, vec![0.0, 1.0]),
+                    lb: -1.0,
+                    ub: 1.0,
+                    mean: 0.0,
+                    std: 1.0,
+                    alpha: 1.0,
+                }],
+                vec![1.0],
+            )),
+            disjunctive: vec![],
+        };
+        let mut df = DataFrame::new();
+        df.push_numeric("x", vec![f64::INFINITY, 1.0, f64::INFINITY]).unwrap();
+        df.push_numeric("y", vec![2.0, 2.0, 0.0]).unwrap();
+        let compiled = CompiledProfile::compile(&profile).violations(&df).unwrap();
+        assert_bits_eq(&profile.violations_interpreted(&df).unwrap(), &compiled);
+        assert_eq!(compiled[0], 0.0);
+        assert!(compiled[1] > 0.5);
     }
 
     #[test]

@@ -324,10 +324,9 @@ impl NumericView<'_> {
     /// structure-of-arrays block: column `j` occupies
     /// `out[j*b..(j+1)*b]` where `b = rows.len()`. Returns `b`.
     ///
-    /// This is the serving engine's chunked column gather: each block is
-    /// copied once into a small, cache-resident scratch buffer that a
-    /// blocked kernel then re-reads once per constraint. `out` is cleared
-    /// and reused; steady-state evaluation allocates nothing.
+    /// Each block is copied once into a small, cache-resident scratch
+    /// buffer that a blocked kernel can re-read many times. `out` is
+    /// cleared and reused; a steady-state loop allocates nothing.
     ///
     /// # Panics
     /// Panics when `rows` exceeds the view's row range.

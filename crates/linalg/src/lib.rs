@@ -17,16 +17,12 @@
 //! 4. [`solve`] — Cholesky and partial-pivoting LU solvers used by the ML
 //!    substrate (ordinary least squares) and the SPLL baseline
 //!    (Mahalanobis distances).
-//! 5. [`gemv::block_matvec`] — the blocked, bit-order-preserving
-//!    matrix–vector kernel the compiled serving engine pushes row blocks
-//!    through when *evaluating* constraints at serving time.
 //!
 //! [`pca`](mod@pca) composes 2 and 3 into principal component analysis, including the
 //! *augmented* variant `[1⃗ ; D]` that Algorithm 1 uses to absorb additive
 //! constants into the eigenvectors.
 
 pub mod eigen;
-pub mod gemv;
 pub mod gram;
 pub mod matrix;
 pub mod pca;
@@ -35,7 +31,6 @@ pub mod stats;
 pub mod vector;
 
 pub use eigen::{symmetric_eigen, EigenDecomposition};
-pub use gemv::block_matvec;
 pub use gram::Gram;
 pub use matrix::Matrix;
 pub use pca::{augmented_pca, pca, PrincipalComponents};

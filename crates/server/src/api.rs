@@ -86,7 +86,7 @@ use cc_obs::{Level, LogFilter, Logger};
 use conformance::{mean_responsibility_from_plan, DriftAggregator};
 use serde::Serialize;
 use serde_json::Value;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Everything a handler may need, borrowed from the server's shared
 /// state. One struct instead of a parameter per subsystem: the router
@@ -536,12 +536,13 @@ fn metrics_text(ctx: &RouteCtx<'_>) -> Response {
 ///
 /// Geometry/detector fields only matter on the creating call; later
 /// calls ingest into the existing monitor as-is (`threads` is per-call:
-/// it sizes the lock-free score phase, clamped to 1..=64). The response
-/// carries a report for every window the batch closed plus the status
-/// snapshot this commit published (alarm state, proposed-profile
-/// generation, …). Concurrent connections may feed one monitor: batches
-/// score in parallel and commit in admission order (`start_row` reports
-/// where each batch landed), bit-identical to serialized ingest.
+/// it sizes the lock-free score phase, capped by [`request_threads`]).
+/// The response carries a report for every window the batch closed plus
+/// the status snapshot this commit published (alarm state,
+/// proposed-profile generation, …). Concurrent connections may feed one
+/// monitor: batches score in parallel and commit in admission order
+/// (`start_row` reports where each batch landed), bit-identical to
+/// serialized ingest.
 ///
 /// On a fleet shard, a created monitor's export log is armed so a
 /// coordinator can pull its closed windows. On a coordinator, ingest is
@@ -622,7 +623,7 @@ fn ingest(req: &Request, ctx: &RouteCtx<'_>, trace_id: u64, path_name: Option<&s
         monitor.with_monitor(|m| m.set_export_cap(cap));
     }
     let threads = match field_usize(req, &body, "threads") {
-        Ok(t) => t.unwrap_or(1).clamp(1, 64),
+        Ok(t) => request_threads(t),
         Err(e) => return Response::error(400, &e),
     };
     // Two-phase pipeline: the batch scores lock-free through the entry's
@@ -649,6 +650,16 @@ fn ingest(req: &Request, ctx: &RouteCtx<'_>, trace_id: u64, path_name: Option<&s
         }
         Err(e) => Response::error(400, &e.to_string()),
     }
+}
+
+/// The scoped threads one request may use for evaluation: its `threads`
+/// field (default 1), clamped to `1..=` the host's available
+/// parallelism. A request cannot start more threads than the host has
+/// CPUs; outputs are identical for every thread count.
+fn request_threads(asked: Option<usize>) -> usize {
+    static CAP: OnceLock<usize> = OnceLock::new();
+    let cap = *CAP.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    asked.unwrap_or(1).clamp(1, cap)
 }
 
 /// An integer monitor/handler field: query parameter first (the only
@@ -1253,7 +1264,7 @@ fn with_batch(
 /// keeps it exact over the wire).
 fn check(req: &Request, batch: Batch) -> Response {
     let threads = match field_usize(req, &batch.body, "threads") {
-        Ok(t) => t.unwrap_or(1).clamp(1, 64),
+        Ok(t) => request_threads(t),
         Err(e) => return Response::error(400, &e),
     };
     // An empty batch conforms trivially — and carries no type information

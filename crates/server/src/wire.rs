@@ -4,8 +4,8 @@
 //! formatted shortest-round-trip on the client and re-parsed on the
 //! server (and again in the other direction for the reply). This module
 //! defines a length-prefixed binary layout that deserializes straight
-//! into the SoA column planes [`cc_frame::NumericView::gather_chunk`]
-//! consumes — zero float parsing, zero per-row allocation — negotiated
+//! into the frame's column planes — zero float parsing, zero per-row
+//! allocation — negotiated
 //! per request via `Content-Type:` [`CONTENT_TYPE_COLUMNAR`] (requests)
 //! and `Accept:` (replies). JSON stays the default and is bit-compatible:
 //! both encodings carry `f64`s exactly, so `/v1/check` answers are

@@ -286,3 +286,40 @@ fn graceful_shutdown_completes_inflight_requests_on(io: cc_server::IoMode) {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A request's `threads` is capped at the host's parallelism, and the
+/// reply does not depend on it: `threads=64` returns the same bytes as
+/// `threads=1`, on `/v1/check` and on `/v1/ingest` (two fresh monitors
+/// fed the same batches, whose replies differ only in the name).
+#[test]
+fn thread_count_does_not_change_reply_bytes() {
+    let dir = common::temp_dir("threads");
+    let profile = common::regime_profile(900, 0.0);
+    common::write_profile(&dir, "main", &profile);
+    let handle = common::start_server(&dir, 2);
+    let mut client = HttpClient::connect(handle.addr()).unwrap();
+
+    // Four evaluation blocks and a ragged tail, so more than one thread
+    // has work when more are allowed.
+    let serve = common::regime_frame(4 * 512 + 7, 3.0);
+    let body = common::columns_body(&serve);
+    let one = client.post_json("/v1/check?threads=1", &body).unwrap();
+    let many = client.post_json("/v1/check?threads=64", &body).unwrap();
+    assert_eq!(one.status, 200, "{}", one.text());
+    assert_eq!(many.status, 200, "{}", many.text());
+    assert_eq!(one.body, many.body);
+
+    for round in 0..3 {
+        let batch = common::columns_body(&common::regime_frame(1500, round as f64));
+        let [one, many] = ["1", "64"].map(|threads| {
+            let target = format!("/v1/ingest?monitor=t{threads}&window=200&threads={threads}");
+            let resp = client.post_json(&target, &batch).unwrap();
+            assert_eq!(resp.status, 200, "{}", resp.text());
+            resp.text().replace(&format!("\"t{threads}\""), "\"t\"")
+        });
+        assert_eq!(one, many, "ingest round {round}");
+    }
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
