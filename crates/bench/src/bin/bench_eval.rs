@@ -8,7 +8,10 @@
 //! attributes, 4-value regime column → 45 bounded constraints), then
 //! times serving-side evaluation three ways: the interpreted reference
 //! path (`violations_interpreted`), the compiled plan single-threaded,
-//! and the compiled plan sharded over each thread count. Every compiled
+//! and the compiled plan sharded over each thread count. Each timing is
+//! the median of 3 reps, and every rep repeats its call until at least
+//! [`MIN_REP`] has passed, so a figure never rests on one few-ms call
+//! (the calls made per rep are reported beside it). Every compiled
 //! run is checked **bit-identical** to the interpreted vector
 //! (`max_abs_delta == 0` is asserted, not just reported) and the
 //! measurements land in `BENCH_eval.json`, the serving-side companion of
@@ -18,7 +21,41 @@
 use cc_bench::{macro_frame, median};
 use conformance::{synthesize, CompiledProfile, SynthOptions};
 use serde_json::Value;
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+/// Minimum wall time of one timed rep. One compiled call on a 100k-row
+/// frame takes a few ms, within a shared host's scheduling noise; a rep
+/// that repeats the call for this long averages that noise out.
+const MIN_REP: Duration = Duration::from_millis(200);
+
+/// Times `call` over `reps` reps, each repeating it until [`MIN_REP`]
+/// has elapsed. Returns the median seconds per call and the number of
+/// calls each rep made.
+fn time_per_call(reps: usize, mut call: impl FnMut()) -> (f64, Vec<usize>) {
+    let mut calls_per_rep = Vec::with_capacity(reps);
+    let per_call = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            let mut calls = 0usize;
+            let elapsed = loop {
+                call();
+                calls += 1;
+                let elapsed = t.elapsed();
+                if elapsed >= MIN_REP {
+                    break elapsed;
+                }
+            };
+            calls_per_rep.push(calls);
+            elapsed.as_secs_f64() / calls as f64
+        })
+        .collect();
+    (median(per_call), calls_per_rep)
+}
+
+fn calls_json(calls: &[usize]) -> Value {
+    Value::Array(calls.iter().map(|&c| Value::Number(c as f64)).collect())
+}
 
 /// Largest |Δ| between the interpreted reference and a compiled result.
 /// The compiled engine's contract is exact bit-identity, so anything
@@ -77,18 +114,12 @@ fn main() {
         profile.constraint_count()
     );
 
-    let interpreted_s = median(
-        (0..reps)
-            .map(|_| {
-                let t = Instant::now();
-                let _ = profile.violations_interpreted(&df).expect("interpreted eval");
-                t.elapsed().as_secs_f64()
-            })
-            .collect(),
-    );
+    let (interpreted_s, interpreted_calls) = time_per_call(reps, || {
+        black_box(profile.violations_interpreted(black_box(&df)).expect("interpreted eval"));
+    });
     let reference = profile.violations_interpreted(&df).expect("interpreted eval");
     println!(
-        "interpreted:      {:.3}s  ({:.2} Mrows/s)",
+        "interpreted:      {:.3}s  ({:.2} Mrows/s, {interpreted_calls:?} calls/rep)",
         interpreted_s,
         rows as f64 / interpreted_s / 1e6
     );
@@ -100,15 +131,9 @@ fn main() {
 
     let mut results = Vec::new();
     let mut bench_one = |threads: usize| {
-        let secs = median(
-            (0..reps)
-                .map(|_| {
-                    let t = Instant::now();
-                    let _ = plan.violations_parallel(&df, threads).expect("compiled eval");
-                    t.elapsed().as_secs_f64()
-                })
-                .collect(),
-        );
+        let (secs, calls) = time_per_call(reps, || {
+            black_box(plan.violations_parallel(black_box(&df), threads).expect("compiled eval"));
+        });
         let got = plan.violations_parallel(&df, threads).expect("compiled eval");
         let delta = max_abs_delta(&reference, &got);
         assert_eq!(
@@ -116,7 +141,7 @@ fn main() {
             "compiled path diverged from interpreted oracle at {threads} threads"
         );
         println!(
-            "compiled ({threads:>2} thr): {:.3}s  ({:.2} Mrows/s, speedup {:.2}×, max |Δ| = {delta:.1})",
+            "compiled ({threads:>2} thr): {:.4}s  ({:.2} Mrows/s, speedup {:.2}×, max |Δ| = {delta:.1}, {calls:?} calls/rep)",
             secs,
             rows as f64 / secs / 1e6,
             interpreted_s / secs
@@ -124,6 +149,7 @@ fn main() {
         results.push(Value::Object(vec![
             ("threads".into(), Value::Number(threads as f64)),
             ("seconds".into(), Value::Number(secs)),
+            ("calls_per_rep".into(), calls_json(&calls)),
             ("speedup".into(), Value::Number(interpreted_s / secs)),
             ("max_abs_delta".into(), Value::Number(delta)),
         ]));
@@ -141,9 +167,11 @@ fn main() {
         ("numeric_attributes".into(), Value::Number(profile.numeric_attributes.len() as f64)),
         ("partition_values".into(), Value::Number(4.0)),
         ("repetitions".into(), Value::Number(reps as f64)),
+        ("min_rep_seconds".into(), Value::Number(MIN_REP.as_secs_f64())),
         ("constraints".into(), Value::Number(profile.constraint_count() as f64)),
         ("compile_microseconds".into(), Value::Number(compile_us)),
         ("interpreted_seconds".into(), Value::Number(interpreted_s)),
+        ("interpreted_calls_per_rep".into(), calls_json(&interpreted_calls)),
         ("compiled".into(), Value::Array(results)),
     ]);
     let path = "BENCH_eval.json";

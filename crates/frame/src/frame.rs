@@ -320,27 +320,6 @@ impl NumericView<'_> {
         self.cols.iter().map(|c| c[i]).collect()
     }
 
-    /// Gathers the row range `rows` of every column into `out` as a
-    /// structure-of-arrays block: column `j` occupies
-    /// `out[j*b..(j+1)*b]` where `b = rows.len()`. Returns `b`.
-    ///
-    /// Each block is copied once into a small, cache-resident scratch
-    /// buffer that a blocked kernel can re-read many times. `out` is
-    /// cleared and reused; a steady-state loop allocates nothing.
-    ///
-    /// # Panics
-    /// Panics when `rows` exceeds the view's row range.
-    pub fn gather_chunk(&self, rows: std::ops::Range<usize>, out: &mut Vec<f64>) -> usize {
-        assert!(rows.end <= self.n_rows, "gather_chunk: row range out of bounds");
-        let b = rows.len();
-        out.clear();
-        out.reserve(self.cols.len() * b);
-        for col in &self.cols {
-            out.extend_from_slice(&col[rows.clone()]);
-        }
-        b
-    }
-
     /// Row-index ranges of at most `chunk_rows` rows, in order. The last
     /// chunk may be short. `chunk_rows` must be positive.
     pub fn chunks(&self, chunk_rows: usize) -> Vec<std::ops::Range<usize>> {
@@ -407,28 +386,6 @@ mod tests {
         }
         assert!(df.numeric_view(&["x", "g"]).is_err());
         assert!(df.numeric_view(&["nope"]).is_err());
-    }
-
-    #[test]
-    fn gather_chunk_is_soa() {
-        let df = sample();
-        let view = df.numeric_view(&["x", "y"]).unwrap();
-        let mut buf = vec![999.0; 3]; // stale contents must be cleared
-        let b = view.gather_chunk(1..4, &mut buf);
-        assert_eq!(b, 3);
-        // Column-major within the block: x's rows 1..4, then y's.
-        assert_eq!(buf, vec![2.0, 3.0, 4.0, 20.0, 30.0, 40.0]);
-        // Empty range gathers nothing.
-        assert_eq!(view.gather_chunk(2..2, &mut buf), 0);
-        assert!(buf.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn gather_chunk_rejects_bad_range() {
-        let df = sample();
-        let view = df.numeric_view(&["x"]).unwrap();
-        view.gather_chunk(2..9, &mut Vec::new());
     }
 
     #[test]

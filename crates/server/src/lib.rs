@@ -5,17 +5,16 @@
 //! deployed data-driven systems* (§1, §2), and a trust layer has to
 //! answer check / explain / drift queries online, not per-process. This
 //! crate is that layer, **dependency-free**: the workspace is
-//! offline/vendored, so the HTTP/1.1 protocol ([`http`]), the worker
-//! pool ([`server`]), and the Prometheus exposition ([`metrics`]) are
-//! all built directly on `std::net` + `std::thread`.
+//! offline/vendored, so the HTTP/1.1 protocol ([`http`]), the epoll
+//! connection core ([`server`], [`reactor`]), and the Prometheus
+//! exposition ([`metrics`]) are all built directly on `std::net`,
+//! `std::thread` and raw Linux syscalls.
 //!
 //! ```text
 //!            ┌──────────────────────────────────────────────┐
 //!  TCP ──►   │ acceptor ─► reactors (epoll, edge-triggered  │
 //!            │   non-blocking state machines: RequestParser)│
 //!            │        ─► compute pool: route ─► Response    │
-//!            │   (or: acceptor ─► queue ─► blocking worker  │
-//!            │    pool — the portable `--io threads` core)  │
 //!            │                 │                            │
 //!            │                 ▼ pinned Arc<Snapshot>       │
 //!            │ ProfileRegistry: dir of profile JSON ─►      │
@@ -72,6 +71,6 @@ pub use http::{ParseError, Request, RequestParser, Response, MAX_HEADER_BYTES};
 pub use metrics::{Endpoint, Metrics, MonitorSeries};
 pub use registry::{ProfileEntry, ProfileRegistry, Snapshot};
 pub use selfwatch::{SelfWatchConfig, SelfWatchState, SELF_FEATURES, SELF_MONITOR};
-pub use server::{IoMode, LogSink, Server, ServerConfig, ServerHandle};
+pub use server::{LogSink, Server, ServerConfig, ServerHandle};
 pub use state::{Durability, SaveReport, STATE_FILE};
 pub use wire::{WireError, CONTENT_TYPE_COLUMNAR};

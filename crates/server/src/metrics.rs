@@ -145,8 +145,6 @@ pub struct Metrics {
     requests: [[AtomicU64; 3]; ENDPOINTS.len()],
     rows_checked: AtomicU64,
     connections_accepted: AtomicU64,
-    /// Which connection core is running: `0` threads, `1` epoll.
-    io_backend: AtomicU64,
     /// Batch-bearing requests by body encoding: `[json, columnar]`.
     wire_requests: [AtomicU64; 2],
     /// `epoll_wait` returns (including timeout ticks) and the ready
@@ -154,10 +152,9 @@ pub struct Metrics {
     /// gauge.
     reactor_wakes: AtomicU64,
     reactor_ready_events: AtomicU64,
-    /// Connections currently registered with a connection core.
+    /// Connections currently registered with the reactors.
     open_connections: AtomicU64,
-    /// Jobs parked in the compute queue (epoll core) or connections
-    /// waiting for a worker (threads core).
+    /// Jobs parked in the compute queue.
     compute_queue_depth: AtomicU64,
     latency: Mutex<Latency>,
 }
@@ -176,7 +173,6 @@ impl Metrics {
             requests: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             rows_checked: AtomicU64::new(0),
             connections_accepted: AtomicU64::new(0),
-            io_backend: AtomicU64::new(0),
             wire_requests: [AtomicU64::new(0), AtomicU64::new(0)],
             reactor_wakes: AtomicU64::new(0),
             reactor_ready_events: AtomicU64::new(0),
@@ -228,22 +224,6 @@ impl Metrics {
         self.connections_accepted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records which connection core the server started with
-    /// (`"threads"` or `"epoll"`); labels the per-backend request
-    /// counter.
-    pub fn set_io_backend(&self, backend: &str) {
-        self.io_backend.store(u64::from(backend == "epoll"), Ordering::Relaxed);
-    }
-
-    /// The connection core recorded by [`Self::set_io_backend`].
-    pub fn io_backend(&self) -> &'static str {
-        if self.io_backend.load(Ordering::Relaxed) == 1 {
-            "epoll"
-        } else {
-            "threads"
-        }
-    }
-
     /// Records one batch-bearing request (`/v1/check`-family or
     /// `/v1/ingest`) by body encoding.
     pub fn record_wire(&self, columnar: bool) {
@@ -259,12 +239,12 @@ impl Metrics {
         self.reactor_ready_events.fetch_add(ready, Ordering::Relaxed);
     }
 
-    /// Tracks one connection entering a connection core.
+    /// Tracks one connection entering the connection core.
     pub fn connection_opened(&self) {
         self.open_connections.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Tracks one connection leaving a connection core.
+    /// Tracks one connection leaving the connection core.
     pub fn connection_closed(&self) {
         // Saturating: a spurious extra close must not wrap the gauge.
         let _ = self
@@ -377,10 +357,7 @@ impl Metrics {
             .sum();
         out.push_str("# HELP cc_server_io_requests_total Requests served, by connection core.\n");
         out.push_str("# TYPE cc_server_io_requests_total counter\n");
-        out.push_str(&format!(
-            "cc_server_io_requests_total{{io=\"{}\"}} {total_requests}\n",
-            self.io_backend()
-        ));
+        out.push_str(&format!("cc_server_io_requests_total{{io=\"epoll\"}} {total_requests}\n"));
         out.push_str(
             "# HELP cc_server_wire_requests_total Batch-bearing requests, by body encoding.\n",
         );
@@ -587,10 +564,9 @@ mod tests {
         m.record_wire(true);
         m.record_wire(true);
         let text = m.render_prometheus(0, 0, &[], &[]);
-        assert!(text.contains("cc_server_io_requests_total{io=\"threads\"} 1"), "{text}");
+        assert!(text.contains("cc_server_io_requests_total{io=\"epoll\"} 1"), "{text}");
         // No epoll wakes recorded: the saturation gauge stays absent.
         assert!(!text.contains("cc_server_reactor_ready_per_wake"));
-        m.set_io_backend("epoll");
         m.record_reactor_wake(0);
         m.record_reactor_wake(4);
         let text = m.render_prometheus(0, 0, &[], &[]);

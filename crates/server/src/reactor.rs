@@ -1,4 +1,4 @@
-//! The edge-triggered epoll connection core (Linux).
+//! The connection core: an edge-triggered epoll event loop (Linux).
 //!
 //! Raw `epoll` via direct syscalls against the libc `std` already links
 //! — **no** `libc` crate, keeping the workspace dependency-free. The
@@ -23,12 +23,13 @@
 //! only shared structures are the compute queue and each reactor's
 //! mailbox, both touched once per request, not per byte.
 //!
-//! Semantics are identical to the threads core and pinned by the same
-//! tests: keep-alive + pipelining, `408` on slow-trickle requests,
-//! `413`/`431`/`505`/`501` from the shared parser, `503` shedding at
+//! Semantics, pinned by the server test suites: keep-alive +
+//! pipelining, `408` on slow-trickle requests, `413`/`431`/`505`/`501`
+//! from the shared parser, `503` shedding at
 //! [`MAX_PENDING_CONNECTIONS`], panic → `500`, and graceful drain —
 //! fully-received requests complete (forced `connection: close`),
-//! partially-received ones are dropped at shutdown.
+//! partially-received ones are dropped at shutdown. An idle keep-alive
+//! connection costs a slab entry, never a compute worker.
 //!
 //! Why edge-triggered: one `epoll_ctl` per connection lifetime instead
 //! of one per readiness change. The rules that make ET correct here:
@@ -39,10 +40,7 @@
 
 use crate::http::{Request, RequestParser, Response};
 use crate::metrics::Endpoint;
-use crate::server::{
-    execute, trace_ctx, Shared, TraceCtx, MAX_PENDING_CONNECTIONS, READ_TICK, REQUEST_DEADLINE,
-    TRACE_HEADER, WRITE_TIMEOUT,
-};
+use crate::server::{execute, trace_ctx, Shared, TraceCtx, TRACE_HEADER};
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -51,6 +49,24 @@ use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// Cap on live connections. Beyond it the acceptor answers `503` and
+/// closes instead of registering without bound.
+pub const MAX_PENDING_CONNECTIONS: usize = 1024;
+
+/// Sweep cadence: how often each reactor checks its connections'
+/// keep-alive, write-timeout and request-deadline clocks.
+const SWEEP_TICK: Duration = Duration::from_millis(200);
+
+/// Ceiling on how long a response write may stay blocked on a client
+/// that has stopped reading — past it, the connection is dropped so no
+/// reactor holds memory for it.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Ceiling on how long one request may take to *arrive* in full. Bounds
+/// the slow-trickle client (one byte per tick resets the idle clock but
+/// not this one): past it, `408` and close.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
 
 // ---------------------------------------------------------------------
 // Raw syscall surface. These symbols live in the libc std already
@@ -415,7 +431,7 @@ impl Reactor {
                 }
             }
             self.drain_mailbox();
-            if last_sweep.elapsed() >= READ_TICK {
+            if last_sweep.elapsed() >= SWEEP_TICK {
                 self.sweep();
                 last_sweep = Instant::now();
             }
@@ -655,7 +671,7 @@ impl Reactor {
         }
     }
 
-    /// The timer wheel, poor man's edition: one pass per [`READ_TICK`].
+    /// The timer wheel, poor man's edition: one pass per [`SWEEP_TICK`].
     fn sweep(&mut self) {
         let now = Instant::now();
         let keep_alive = self.shared.config.keep_alive;
@@ -802,9 +818,8 @@ impl EpollCore {
     }
 }
 
-/// Blocking accept, round-robin handoff. Same `503` shed policy as the
-/// threads core, but against *live connections* (the reactors' open
-/// set) rather than a pending queue — the epoll core has no queue.
+/// Blocking accept, round-robin handoff. Sheds with `503` once the
+/// reactors' open set reaches [`MAX_PENDING_CONNECTIONS`].
 fn accept_loop(listener: &TcpListener, shared: &Shared, mailboxes: &[Mailbox], live: &AtomicUsize) {
     let mut next = 0usize;
     loop {

@@ -1,76 +1,34 @@
-//! The TCP layer: listener, two interchangeable connection cores,
-//! graceful shutdown.
+//! The TCP layer: listener, the connection core, graceful shutdown.
 //!
-//! Two I/O backends serve the same router behind the same semantics,
-//! selected at runtime by [`ServerConfig::io`]:
+//! Sockets are served by the edge-triggered epoll readiness core in
+//! [`crate::reactor`]: one acceptor hands connections round-robin to
+//! reactor threads, which run non-blocking per-connection state machines
+//! (incremental parser → router → buffered write) and pass each routed
+//! request to a compute pool, so no reactor blocks on a handler and no
+//! idle keep-alive connection holds a worker. The core is Linux-only;
+//! elsewhere [`Server::start`] fails with [`std::io::ErrorKind::Unsupported`].
 //!
-//! - **threads** (portable, any platform): one acceptor thread pushes
-//!   accepted connections onto a bounded queue (overflow beyond
-//!   [`MAX_PENDING_CONNECTIONS`] is answered `503` and closed, never
-//!   buffered without limit); `workers` threads pop and drive
-//!   connections through the incremental parser → router → response
-//!   cycle. Keep-alive connections do not pin workers: after each
-//!   response, if other connections are waiting, the connection is
-//!   **requeued** behind them (unless it has pipelined bytes in
-//!   flight), so N persistent clients round-robin with everyone else
-//!   instead of starving the pool. Everything is `std` — threads,
-//!   `Mutex` + `Condvar`, blocking sockets with read timeouts (the
-//!   timeout doubles as the shutdown poll, so no connection can pin a
-//!   worker forever).
-//! - **epoll** (Linux, the default there): the edge-triggered readiness
-//!   event loop in [`crate::reactor`] — non-blocking per-connection
-//!   state machines sharded across reactor threads, with request
-//!   execution handed to a compute pool so reactors never block. Same
-//!   parser, same router, same timeout/shedding/drain semantics; only
-//!   the scheduling of bytes differs.
-//!
-//! Shutdown ([`ServerHandle::shutdown`]) is graceful by construction
-//! under both cores: the flag flips, the acceptor is unblocked by a
-//! wake-up connection and stops accepting, in-flight requests finish
-//! (the response is forced `connection: close`), already-accepted idle
-//! connections are drained or dropped, and only then do the threads
-//! exit — no fully-received request is dropped.
+//! Shutdown ([`ServerHandle::shutdown`]) is graceful by construction:
+//! the flag flips, the acceptor is unblocked by a wake-up connection and
+//! stops accepting, in-flight requests finish (the response is forced
+//! `connection: close`), idle connections are dropped, and only then do
+//! the threads exit — no fully-received request is dropped.
 
-use crate::http::{RequestParser, Response};
+use crate::http::Response;
 use crate::metrics::{Endpoint, Metrics};
+#[cfg(target_os = "linux")]
+use crate::reactor::EpollCore as Core;
 use crate::registry::ProfileRegistry;
 use crate::selfwatch::{SelfWatchConfig, SelfWatchState};
 use crate::state::Durability;
 use cc_monitor::MonitorSet;
 use cc_obs::{Level, Logger};
-use std::collections::VecDeque;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Which connection core drives the sockets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IoMode {
-    /// Pick the best available backend: epoll on Linux (falling back to
-    /// threads if the event loop cannot be set up), threads elsewhere.
-    Auto,
-    /// The portable blocking worker-pool core.
-    Threads,
-    /// The edge-triggered epoll readiness core (Linux only; startup
-    /// fails elsewhere or when epoll is unavailable).
-    Epoll,
-}
-
-impl IoMode {
-    /// Parses the CLI spelling (`auto` | `threads` | `epoll`).
-    pub fn parse(s: &str) -> Option<IoMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Some(IoMode::Auto),
-            "threads" => Some(IoMode::Threads),
-            "epoll" => Some(IoMode::Epoll),
-            _ => None,
-        }
-    }
-}
 
 /// Where structured log lines are streamed (they are always ring-
 /// buffered for `GET /v1/logs` regardless).
@@ -92,14 +50,12 @@ pub struct ServerConfig {
     /// Bind address; port `0` picks an ephemeral port (the bound address
     /// is on [`ServerHandle::addr`]).
     pub addr: String,
-    /// Compute threads. Under the threads core each drives one
-    /// connection at a time; under the epoll core they form the compute
-    /// pool that executes routed requests off the reactors.
+    /// Compute threads: the pool that executes routed requests off the
+    /// reactors. Connections do not hold a worker between requests, so
+    /// any number of keep-alive clients share the pool.
     pub workers: usize,
-    /// Connection core selection (see [`IoMode`]).
-    pub io: IoMode,
-    /// Reactor threads for the epoll core (`0` = one per available
-    /// core, capped at 8). Ignored by the threads core.
+    /// Reactor threads that own the sockets (`0` = one per available
+    /// core, capped at 8).
     pub reactors: usize,
     /// Per-request body ceiling in bytes.
     pub max_body_bytes: usize,
@@ -152,7 +108,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 4,
-            io: IoMode::Auto,
             reactors: 0,
             max_body_bytes: crate::http::DEFAULT_MAX_BODY_BYTES,
             keep_alive: Duration::from_secs(5),
@@ -179,11 +134,6 @@ pub(crate) struct Shared {
     pub(crate) durability: Option<Durability>,
     pub(crate) config: ServerConfig,
     pub(crate) shutdown: AtomicBool,
-    /// Accepted connections awaiting a worker, with their enqueue
-    /// instant — the dwell time becomes the first request's `queue_wait`
-    /// trace phase.
-    pub(crate) queue: Mutex<VecDeque<(TcpStream, Instant)>>,
-    pub(crate) work_ready: Condvar,
     /// The structured logger: ring-buffered for `GET /v1/logs`, with an
     /// optional stderr/file stream.
     pub(crate) logger: Logger,
@@ -259,14 +209,27 @@ pub(crate) fn trace_ctx(req: &crate::http::Request) -> TraceCtx {
     }
 }
 
-/// The threads belonging to whichever connection core is running.
-enum Core {
-    Threads {
-        acceptor: std::thread::JoinHandle<()>,
-        workers: Vec<std::thread::JoinHandle<()>>,
-    },
-    #[cfg(target_os = "linux")]
-    Epoll(crate::reactor::EpollCore),
+/// Stand-in for the epoll core where it cannot exist: it has no values,
+/// so [`Server::start`] fails before any thread spawns.
+#[cfg(not(target_os = "linux"))]
+enum Core {}
+
+#[cfg(not(target_os = "linux"))]
+impl Core {
+    fn start(_: TcpListener, _: Arc<Shared>, _: usize) -> std::io::Result<Core> {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "cc_server's connection core is epoll, which is Linux-only",
+        ))
+    }
+
+    fn wake(&self) {
+        match *self {}
+    }
+
+    fn join(self) {
+        match self {}
+    }
 }
 
 /// A running server. Dropping the handle does **not** stop the server;
@@ -285,16 +248,17 @@ pub struct ServerHandle {
 pub struct Server;
 
 impl Server {
-    /// Binds `config.addr` and starts the acceptor + worker threads
-    /// serving `registry`. With [`ServerConfig::state_dir`] set, the
-    /// state snapshot is restored **before** the first connection is
+    /// Binds `config.addr` and starts the acceptor, reactor and compute
+    /// threads serving `registry`. With [`ServerConfig::state_dir`] set,
+    /// the state snapshot is restored **before** the first connection is
     /// accepted (a corrupt snapshot is quarantined and logged, never
     /// fatal), and an autosave thread starts when
     /// [`ServerConfig::autosave`] is set.
     ///
     /// # Errors
-    /// Fails when the address cannot be bound or the state directory
-    /// cannot be created.
+    /// Fails when the address cannot be bound, the state directory
+    /// cannot be created, or the epoll core cannot start (always, off
+    /// Linux).
     pub fn start(config: ServerConfig, registry: ProfileRegistry) -> std::io::Result<ServerHandle> {
         let logger = Logger::new(config.log_level, config.log_buffer);
         match &config.log_sink {
@@ -344,19 +308,16 @@ impl Server {
             durability,
             config,
             shutdown: AtomicBool::new(false),
-            queue: Mutex::new(VecDeque::new()),
-            work_ready: Condvar::new(),
             logger,
             selfwatch: SelfWatchState::new(),
             fleet,
         });
-        let core = start_core(listener, &shared, workers)?;
+        let core = Core::start(listener, shared.clone(), workers)?;
         shared.logger.info(
             boot_trace,
             "",
             format!(
-                "cc_server listening on http://{addr} (io {}, {workers} worker{})",
-                shared.metrics.io_backend(),
+                "cc_server listening on http://{addr} (io epoll, {workers} worker{})",
                 if workers == 1 { "" } else { "s" }
             ),
         );
@@ -391,62 +352,6 @@ impl Server {
                 std::thread::spawn(move || crate::fleet::pull_loop(&shared.fleet, &shared.shutdown))
             });
         Ok(ServerHandle { addr, shared, core, autosaver, sampler, puller })
-    }
-}
-
-/// Spawns the connection core requested by `config.io`.
-fn start_core(
-    listener: TcpListener,
-    shared: &Arc<Shared>,
-    workers: usize,
-) -> std::io::Result<Core> {
-    let start_threads = |listener: TcpListener| {
-        shared.metrics.set_io_backend("threads");
-        let acceptor = {
-            let shared = shared.clone();
-            std::thread::spawn(move || accept_loop(&listener, &shared))
-        };
-        let workers = (0..workers)
-            .map(|_| {
-                let shared = shared.clone();
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        Core::Threads { acceptor, workers }
-    };
-    match shared.config.io {
-        IoMode::Threads => Ok(start_threads(listener)),
-        #[cfg(target_os = "linux")]
-        IoMode::Epoll => {
-            shared.metrics.set_io_backend("epoll");
-            crate::reactor::EpollCore::start(listener, shared.clone(), workers).map(Core::Epoll)
-        }
-        #[cfg(not(target_os = "linux"))]
-        IoMode::Epoll => Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "epoll backend is Linux-only; use --io threads",
-        )),
-        #[cfg(target_os = "linux")]
-        IoMode::Auto => {
-            // epoll can be unavailable under exotic sandboxes; Auto
-            // promises a running server, so keep a duplicate of the
-            // bound socket (same port) to fall back onto.
-            let backup = listener.try_clone()?;
-            shared.metrics.set_io_backend("epoll");
-            match crate::reactor::EpollCore::start(listener, shared.clone(), workers) {
-                Ok(core) => Ok(Core::Epoll(core)),
-                Err(e) => {
-                    shared.logger.warn(
-                        0,
-                        "",
-                        format!("epoll unavailable ({e}); falling back to threads"),
-                    );
-                    Ok(start_threads(backup))
-                }
-            }
-        }
-        #[cfg(not(target_os = "linux"))]
-        IoMode::Auto => Ok(start_threads(listener)),
     }
 }
 
@@ -486,12 +391,6 @@ impl ServerHandle {
         &self.shared.fleet
     }
 
-    /// The connection core actually running (`"epoll"` or `"threads"`)
-    /// — [`IoMode::Auto`] resolves when the server starts.
-    pub fn io_backend(&self) -> &'static str {
-        self.shared.metrics.io_backend()
-    }
-
     /// Whether a state directory is configured (durable mode).
     pub fn durable(&self) -> bool {
         self.shared.durability.is_some()
@@ -515,16 +414,12 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop accepting, let in-flight requests finish,
-    /// drain queued connections, join every thread — then write a final
+    /// drop idle connections, join every thread — then write a final
     /// state snapshot (durable mode), after the last request has
     /// settled, so the snapshot reflects everything the daemon served.
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.work_ready.notify_all();
-        #[cfg(target_os = "linux")]
-        if let Core::Epoll(core) = &self.core {
-            core.wake();
-        }
+        self.core.wake();
         // Unblock the acceptor's blocking `accept` with a throwaway
         // connection; harmless if the acceptor already exited. A
         // wildcard bind is not connectable on every platform — aim the
@@ -537,16 +432,7 @@ impl ServerHandle {
             });
         }
         let _ = TcpStream::connect(wake);
-        match self.core {
-            Core::Threads { acceptor, workers } => {
-                let _ = acceptor.join();
-                for w in workers {
-                    let _ = w.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            Core::Epoll(core) => core.join(),
-        }
+        self.core.join();
         if let Some(a) = self.autosaver {
             let _ = a.join();
         }
@@ -581,69 +467,6 @@ impl ServerHandle {
     }
 }
 
-/// Cap on accepted-but-unserved connections. Beyond it the acceptor
-/// answers `503` and closes instead of queueing without bound.
-pub const MAX_PENDING_CONNECTIONS: usize = 1024;
-
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    loop {
-        let accepted = listener.accept();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match accepted {
-            Ok((mut stream, _)) => {
-                shared.metrics.record_connection();
-                shared.metrics.connection_opened();
-                let mut queue = shared.queue.lock().expect("server lock never poisoned");
-                if queue.len() >= MAX_PENDING_CONNECTIONS {
-                    drop(queue);
-                    // Shed load with an answer, not a silent hang.
-                    let _ = stream
-                        .write_all(&Response::error(503, "server is at capacity").serialize(false));
-                    shared.metrics.record_request(Endpoint::Other, 503, 0.0);
-                    shared.metrics.connection_closed();
-                    shared.logger.warn(0, "", "accept queue full; connection shed with 503");
-                    continue;
-                }
-                queue.push_back((stream, Instant::now()));
-                shared.metrics.set_compute_queue_depth(queue.len());
-                drop(queue);
-                shared.work_ready.notify_one();
-            }
-            // Transient accept errors (EMFILE, aborted handshakes):
-            // back off briefly instead of spinning.
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let stream = {
-            let mut queue = shared.queue.lock().expect("server lock never poisoned");
-            loop {
-                if let Some(s) = queue.pop_front() {
-                    shared.metrics.set_compute_queue_depth(queue.len());
-                    break Some(s);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (q, _) = shared
-                    .work_ready
-                    .wait_timeout(queue, Duration::from_millis(100))
-                    .expect("server lock never poisoned");
-                queue = q;
-            }
-        };
-        match stream {
-            Some((s, queued_at)) => serve_connection(s, queued_at, shared),
-            None => return,
-        }
-    }
-}
-
 /// Periodic state saves. Sleeps in short ticks so shutdown is noticed
 /// promptly; a failed save is logged and retried next interval (the
 /// previous snapshot file stays intact — atomic replace).
@@ -668,23 +491,8 @@ fn autosave_loop(shared: &Shared, interval: Duration) {
     }
 }
 
-/// Read timeout on connection sockets — the cadence at which idle
-/// connections notice shutdown and the keep-alive clock.
-pub(crate) const READ_TICK: Duration = Duration::from_millis(200);
-
-/// Ceiling on how long a response write may block on a client that has
-/// stopped reading — past it, the connection is dropped so no worker is
-/// pinned by a full send buffer.
-pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Ceiling on how long one request may take to *arrive* in full. Bounds
-/// the slow-trickle client (one byte per tick resets the idle clock but
-/// not this one): past it, `408` and close.
-pub(crate) const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
-
 /// Routes one request with panic containment — a handler panic answers
-/// `500` instead of killing the calling thread. Both connection cores
-/// execute requests through here. `trace_id` tags any pipeline spans the
+/// `500` instead of killing the calling compute worker. `trace_id` tags any pipeline spans the
 /// handler records (0 when tracing is off).
 pub(crate) fn execute(
     req: &crate::http::Request,
@@ -709,167 +517,4 @@ pub(crate) fn execute(
         )
     }))
     .unwrap_or_else(|_| (Endpoint::Other, Response::error(500, "handler panicked")))
-}
-
-/// Drives one connection: feed → parse → route → respond, until close /
-/// idle timeout / request deadline / terminal parse error / shutdown.
-/// `queued_at` is when the acceptor parked the connection — its dwell is
-/// the first request's `queue_wait` phase (later keep-alive requests on
-/// the same pickup report 0: they never waited in the accept queue).
-fn serve_connection(stream: TcpStream, queued_at: Instant, shared: &Shared) {
-    if drive_connection(stream, queued_at, shared) {
-        shared.metrics.connection_closed();
-    }
-}
-
-/// [`serve_connection`]'s body. Returns whether the connection is done
-/// (`false` only on the keep-alive requeue path, where the stream moved
-/// back into the accept queue and stays open).
-fn drive_connection(mut stream: TcpStream, queued_at: Instant, shared: &Shared) -> bool {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_TICK));
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let tracing = shared.tracing();
-    let mut parser = RequestParser::new(shared.config.max_body_bytes);
-    let mut read_buf = [0u8; 16 * 1024];
-    let mut last_activity = Instant::now();
-    // Set while a request is partially buffered; enforces REQUEST_DEADLINE.
-    let mut request_started: Option<Instant> = None;
-    // Accept-queue dwell, attributed to the first request only.
-    let mut queue_wait: Option<(Instant, Duration)> = Some((queued_at, queued_at.elapsed()));
-    // Parser CPU time accumulated toward the next completed request.
-    let mut parse_spent = Duration::ZERO;
-    loop {
-        // Drain every already-buffered request first (pipelining), then
-        // read more.
-        let parse_started = Instant::now();
-        let parsed = parser.try_next();
-        parse_spent += parse_started.elapsed();
-        match parsed {
-            Ok(Some(req)) => {
-                request_started = None;
-                let trace = tracing.then(|| trace_ctx(&req));
-                let started = Instant::now();
-                let shutting_down = shared.shutdown.load(Ordering::SeqCst);
-                let trace_id = trace.as_ref().map_or(0, |t| t.id);
-                let (endpoint, mut response) = execute(&req, shared, trace_id);
-                let handle_dur = started.elapsed();
-                if let Some(ctx) = &trace {
-                    response.set_header(TRACE_HEADER, ctx.echo.clone());
-                }
-                let keep_alive = !req.close && !shutting_down;
-                let payload = response.serialize(keep_alive);
-                let write_started = Instant::now();
-                let ok = stream.write_all(&payload).is_ok();
-                shared.metrics.record_request(
-                    endpoint,
-                    response.status,
-                    started.elapsed().as_secs_f64(),
-                );
-                shared.log_request(
-                    trace_id,
-                    endpoint,
-                    &req.method,
-                    &req.path,
-                    response.status,
-                    started.elapsed(),
-                );
-                if let Some(ctx) = &trace {
-                    let tag = endpoint.label();
-                    let (qw_start, qw_dur) = queue_wait.take().unwrap_or((started, Duration::ZERO));
-                    cc_trace::record(
-                        cc_trace::Phase::Parse,
-                        ctx.id,
-                        tag,
-                        req.body.len() as u64,
-                        parse_started,
-                        parse_spent,
-                    );
-                    cc_trace::record(cc_trace::Phase::QueueWait, ctx.id, tag, 0, qw_start, qw_dur);
-                    cc_trace::record(cc_trace::Phase::Handle, ctx.id, tag, 0, started, handle_dur);
-                    cc_trace::record(
-                        cc_trace::Phase::Write,
-                        ctx.id,
-                        tag,
-                        payload.len() as u64,
-                        write_started,
-                        write_started.elapsed(),
-                    );
-                }
-                parse_spent = Duration::ZERO;
-                if !keep_alive || !ok {
-                    return true;
-                }
-                // Fairness: a persistent keep-alive client must not pin
-                // this worker while other connections wait. With no
-                // pipelined bytes buffered, the connection can be parked
-                // at the back of the queue and picked up fresh later.
-                if parser.is_empty() {
-                    let mut queue = shared.queue.lock().expect("server lock never poisoned");
-                    if !queue.is_empty() {
-                        queue.push_back((stream, Instant::now()));
-                        shared.metrics.set_compute_queue_depth(queue.len());
-                        drop(queue);
-                        shared.work_ready.notify_one();
-                        return false;
-                    }
-                }
-                last_activity = Instant::now();
-                continue;
-            }
-            Ok(None) => {
-                // No complete request buffered. Shutdown drops the
-                // connection here — only fully-received requests are
-                // "in flight" — and a partially-received request is
-                // held to REQUEST_DEADLINE regardless of how steadily
-                // the client trickles bytes (each read resets the idle
-                // clock, but never this one).
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return true;
-                }
-                match (&mut request_started, parser.is_empty()) {
-                    (slot @ None, false) => *slot = Some(Instant::now()),
-                    (Some(t), false) if t.elapsed() >= REQUEST_DEADLINE => {
-                        let _ = stream.write_all(
-                            &Response::error(408, "request took too long to arrive")
-                                .serialize(false),
-                        );
-                        shared.metrics.record_request(Endpoint::Other, 408, 0.0);
-                        shared.logger.warn(0, "", "request deadline exceeded; answered 408");
-                        return true;
-                    }
-                    _ => {}
-                }
-            }
-            Err(e) => {
-                // Terminal framing error: report and close.
-                let _ = stream.write_all(&Response::error(e.status(), e.reason()).serialize(false));
-                shared.metrics.record_request(Endpoint::Other, e.status(), 0.0);
-                shared.logger.warn(
-                    0,
-                    "",
-                    format!("request rejected: {} ({})", e.reason(), e.status()),
-                );
-                return true;
-            }
-        }
-        match stream.read(&mut read_buf) {
-            // EOF: clean close between requests, abrupt disconnect
-            // mid-request — either way the connection is done.
-            Ok(0) => return true,
-            Ok(n) => {
-                parser.feed(&read_buf[..n]);
-                last_activity = Instant::now();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if last_activity.elapsed() >= shared.config.keep_alive {
-                    return true;
-                }
-            }
-            Err(_) => return true,
-        }
-    }
 }

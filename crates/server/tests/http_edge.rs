@@ -118,17 +118,9 @@ fn malformed_bodies_and_framing() {
 
 #[test]
 fn live_server_survives_abuse() {
-    // Same abuse, both connection cores: the epoll reactor and the
-    // threaded pool must shed it identically.
-    for io in common::io_modes() {
-        live_server_survives_abuse_on(io);
-    }
-}
-
-fn live_server_survives_abuse_on(io: cc_server::IoMode) {
-    let dir = common::temp_dir(&format!("abuse_{io:?}"));
+    let dir = common::temp_dir("abuse");
     common::write_profile(&dir, "p", &common::regime_profile(300, 0.0));
-    let handle = common::start_server_io(&dir, 2, io);
+    let handle = common::start_server(&dir, 2);
     let addr = handle.addr();
 
     // 1. Abrupt disconnect mid-request: half a request line, then drop.
@@ -204,29 +196,27 @@ fn live_server_survives_abuse_on(io: cc_server::IoMode) {
 /// must keep serving.
 #[test]
 fn deeply_nested_json_body_is_a_400_not_a_crash() {
-    for io in common::io_modes() {
-        let dir = common::temp_dir(&format!("deep_json_{io:?}"));
-        common::write_profile(&dir, "p", &common::regime_profile(300, 0.0));
-        let handle = common::start_server_io(&dir, 2, io);
-        let mut client = HttpClient::connect(handle.addr()).unwrap();
+    let dir = common::temp_dir("deep_json");
+    common::write_profile(&dir, "p", &common::regime_profile(300, 0.0));
+    let handle = common::start_server(&dir, 2);
+    let mut client = HttpClient::connect(handle.addr()).unwrap();
 
-        let body = "[".repeat(100_000);
-        let resp = client.request("POST", "/v2/check?profile=p", body.as_bytes()).unwrap();
-        assert_eq!(resp.status, 400, "{io:?}: {}", resp.text());
-        let envelope = resp.json().unwrap();
-        let error = envelope.field("error").unwrap();
-        assert_eq!(error.field("code").unwrap(), &serde_json::Value::String("bad_request".into()));
-        let serde_json::Value::String(message) = error.field("message").unwrap() else {
-            panic!("{io:?}: error message is not a string: {}", resp.text());
-        };
-        assert!(message.contains("recursion limit exceeded"), "{io:?}: {message}");
+    let body = "[".repeat(100_000);
+    let resp = client.request("POST", "/v2/check?profile=p", body.as_bytes()).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    let envelope = resp.json().unwrap();
+    let error = envelope.field("error").unwrap();
+    assert_eq!(error.field("code").unwrap(), &serde_json::Value::String("bad_request".into()));
+    let serde_json::Value::String(message) = error.field("message").unwrap() else {
+        panic!("error message is not a string: {}", resp.text());
+    };
+    assert!(message.contains("recursion limit exceeded"), "{message}");
 
-        // The same connection, and a fresh one, are still answered.
-        assert_eq!(client.get("/healthz").unwrap().status, 200, "{io:?}");
-        let mut fresh = HttpClient::connect(handle.addr()).unwrap();
-        assert_eq!(fresh.get("/healthz").unwrap().status, 200, "{io:?}");
+    // The same connection, and a fresh one, are still answered.
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+    let mut fresh = HttpClient::connect(handle.addr()).unwrap();
+    assert_eq!(fresh.get("/healthz").unwrap().status, 200);
 
-        handle.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

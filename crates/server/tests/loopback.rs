@@ -181,17 +181,12 @@ fn hot_reload_under_concurrent_traffic() {
 
 #[test]
 fn shutdown_is_not_blocked_by_a_partial_request() {
-    for io in common::io_modes() {
-        shutdown_is_not_blocked_by_a_partial_request_on(io);
-    }
-}
-
-fn shutdown_is_not_blocked_by_a_partial_request_on(io: cc_server::IoMode) {
-    let dir = common::temp_dir(&format!("partial_{io:?}"));
+    let dir = common::temp_dir("partial");
     common::write_profile(&dir, "p", &common::regime_profile(300, 0.0));
-    let handle = common::start_server_io(&dir, 1, io);
+    let handle = common::start_server(&dir, 1);
     let addr = handle.addr();
-    // Half a request, never completed: the lone worker is reading it.
+    // Half a request, never completed: its connection holds a parser
+    // mid-request when shutdown starts.
     use std::io::Write;
     let mut s = std::net::TcpStream::connect(addr).unwrap();
     s.write_all(b"POST /v1/check HTTP/1.1\r\ncontent-length: 1000\r\n\r\npartial").unwrap();
@@ -210,19 +205,11 @@ fn shutdown_is_not_blocked_by_a_partial_request_on(io: cc_server::IoMode) {
 
 #[test]
 fn persistent_keep_alive_client_does_not_starve_others() {
-    for io in common::io_modes() {
-        persistent_keep_alive_client_does_not_starve_others_on(io);
-    }
-}
-
-fn persistent_keep_alive_client_does_not_starve_others_on(io: cc_server::IoMode) {
-    let dir = common::temp_dir(&format!("fairness_{io:?}"));
+    let dir = common::temp_dir("fairness");
     common::write_profile(&dir, "p", &common::regime_profile(300, 0.0));
-    // One worker: under the threads core, without fair requeueing a
-    // single persistent keep-alive client would pin it forever; under
-    // the epoll core the lone compute worker drains jobs FIFO across
-    // connections.
-    let handle = common::start_server_io(&dir, 1, io);
+    // One worker: the lone compute worker drains jobs FIFO across
+    // connections, so a persistent keep-alive client cannot pin it.
+    let handle = common::start_server(&dir, 1);
     let addr = handle.addr();
     let body = common::columns_body(&common::regime_frame(64, 1.0));
 
@@ -252,17 +239,54 @@ fn persistent_keep_alive_client_does_not_starve_others_on(io: cc_server::IoMode)
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// More keep-alive connections than compute workers: four clients are
+/// primed one after another, then all four send checks concurrently.
+/// An idle keep-alive connection must never hold a worker, so every
+/// reply is a 200 that arrives within the bound — never one that waits
+/// out another connection's keep-alive timeout.
 #[test]
-fn graceful_shutdown_completes_inflight_requests() {
-    for io in common::io_modes() {
-        graceful_shutdown_completes_inflight_requests_on(io);
+fn more_keep_alive_connections_than_workers_are_all_served() {
+    const CLIENTS: usize = 4;
+    const CONCURRENT_CHECKS: usize = 20;
+    let bound = std::time::Duration::from_secs(2);
+    let dir = common::temp_dir("overconn");
+    common::write_profile(&dir, "p", &common::regime_profile(300, 0.0));
+    let handle = common::start_server(&dir, 2);
+    let addr = handle.addr();
+    let body = common::columns_body(&common::regime_frame(64, 1.0));
+    let timed_check = |client: &mut HttpClient, what: &str| {
+        let started = std::time::Instant::now();
+        let status = client.post_json("/v1/check", &body).map(|r| r.status);
+        let elapsed = started.elapsed();
+        assert!(matches!(status, Ok(200)), "{what}: {status:?} after {elapsed:?}");
+        assert!(elapsed < bound, "{what}: reply took {elapsed:?}");
+    };
+
+    let mut clients = Vec::new();
+    for i in 0..CLIENTS {
+        let mut client = HttpClient::connect(addr).unwrap();
+        timed_check(&mut client, &format!("priming client {i}"));
+        clients.push(client);
     }
+    std::thread::scope(|scope| {
+        for (i, client) in clients.iter_mut().enumerate() {
+            let timed_check = &timed_check;
+            scope.spawn(move || {
+                for j in 0..CONCURRENT_CHECKS {
+                    timed_check(client, &format!("client {i} check {j}"));
+                }
+            });
+        }
+    });
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn graceful_shutdown_completes_inflight_requests_on(io: cc_server::IoMode) {
-    let dir = common::temp_dir(&format!("drain_{io:?}"));
+#[test]
+fn graceful_shutdown_completes_inflight_requests() {
+    let dir = common::temp_dir("drain");
     common::write_profile(&dir, "p", &common::regime_profile(400, 0.0));
-    let handle = common::start_server_io(&dir, 2, io);
+    let handle = common::start_server(&dir, 2);
     let addr = handle.addr();
     let body = common::columns_body(&common::regime_frame(2000, 1.0));
 
